@@ -5,14 +5,16 @@
 // The figure/table benchmarks run the experiment protocol at CI scale
 // (QuickConfig); `go run ./cmd/tppbench -full` regenerates them at paper
 // scale. The ablation benchmarks isolate individual design choices:
-// lazy-greedy vs plain greedy, Lemma 5 candidate restriction, inverted
-// index vs naive recount, and TBD vs DBD budget division.
+// Lemma 5 candidate restriction, inverted index vs naive recount, TBD vs
+// DBD budget division, and the parallel recount scan.
 package repro
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/anonymize"
@@ -117,91 +119,70 @@ func benchProblem(b *testing.B, pattern motif.Pattern) *tpp.Problem {
 	return p
 }
 
-// Ablation 1: CELF lazy greedy vs plain indexed greedy.
-func BenchmarkAblationLazyVsPlain(b *testing.B) {
-	p := benchProblem(b, motif.Rectangle)
-	for _, tc := range []struct {
-		name string
-		opt  tpp.Options
-	}{
-		{"plain-indexed", tpp.Options{Engine: tpp.EngineIndexed}},
-		{"lazy-celf", tpp.Options{Engine: tpp.EngineLazy}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := tpp.SGBGreedy(p, 10, tc.opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+// benchRun runs one selection on a fresh single-use session over p, so each
+// call pays the index build (indexed engine) plus the selection, like a
+// standalone protection request.
+func benchRun(b *testing.B, p *tpp.Problem, opts ...tpp.Option) *tpp.Result {
+	b.Helper()
+	pr, err := tpp.New(p.G, p.Targets, append([]tpp.Option{tpp.WithPattern(p.Pattern)}, opts...)...)
+	if err != nil {
+		b.Fatal(err)
 	}
+	res, err := pr.Run(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
 }
 
-// Ablation 2: Lemma 5 candidate restriction under the recount cost model —
+// Ablation 1: Lemma 5 candidate restriction under the recount cost model —
 // the paper's ~20x claim (Fig. 5).
 func BenchmarkAblationRestriction(b *testing.B) {
 	p := benchProblem(b, motif.Triangle)
 	for _, tc := range []struct {
-		name string
-		opt  tpp.Options
+		name  string
+		scope tpp.Scope
 	}{
-		{"all-edges", tpp.Options{Engine: tpp.EngineRecount, Scope: tpp.ScopeAllEdges}},
-		{"restricted", tpp.Options{Engine: tpp.EngineRecount, Scope: tpp.ScopeTargetSubgraphs}},
+		{"all-edges", tpp.ScopeAllEdges},
+		{"restricted", tpp.ScopeTargetSubgraphs},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := tpp.SGBGreedy(p, 4, tc.opt); err != nil {
-					b.Fatal(err)
-				}
+				benchRun(b, p, tpp.WithEngine(tpp.EngineRecount), tpp.WithScope(tc.scope), tpp.WithBudget(4))
 			}
 		})
 	}
 }
 
-// Ablation 3: inverted-index gains vs naive recount at equal candidate
+// Ablation 2: inverted-index gains vs naive recount at equal candidate
 // scope.
 func BenchmarkAblationIndexVsRecount(b *testing.B) {
 	p := benchProblem(b, motif.Triangle)
 	for _, tc := range []struct {
-		name string
-		opt  tpp.Options
+		name   string
+		engine tpp.Engine
 	}{
-		{"recount", tpp.Options{Engine: tpp.EngineRecount, Scope: tpp.ScopeTargetSubgraphs}},
-		{"indexed", tpp.Options{Engine: tpp.EngineIndexed, Scope: tpp.ScopeTargetSubgraphs}},
+		{"recount", tpp.EngineRecount},
+		{"indexed", tpp.EngineIndexed},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := tpp.SGBGreedy(p, 4, tc.opt); err != nil {
-					b.Fatal(err)
-				}
+				benchRun(b, p, tpp.WithEngine(tc.engine), tpp.WithScope(tpp.ScopeTargetSubgraphs), tpp.WithBudget(4))
 			}
 		})
 	}
 }
 
-// Ablation 4: TBD vs DBD budget division under CT-Greedy — quality claim
+// Ablation 3: TBD vs DBD budget division under CT-Greedy — quality claim
 // (TBD wins) measured as final similarity, reported via custom metric.
 func BenchmarkAblationBudgetDivision(b *testing.B) {
 	p := benchProblem(b, motif.Rectangle)
 	k := 10
-	for _, tc := range []struct {
-		name   string
-		divide func(*tpp.Problem, int) ([]int, error)
-	}{
-		{"TBD", tpp.TBDForProblem},
-		{"DBD", tpp.DBDForProblem},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
+	for _, division := range []tpp.Division{tpp.DivisionTBD, tpp.DivisionDBD} {
+		b.Run(strings.ToUpper(string(division)), func(b *testing.B) {
 			var finalSim float64
 			for i := 0; i < b.N; i++ {
-				budgets, err := tc.divide(p, k)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := tpp.CTGreedy(p, budgets, tpp.Options{Engine: tpp.EngineIndexed})
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := benchRun(b, p, tpp.WithMethod(tpp.MethodCT), tpp.WithDivision(division), tpp.WithBudget(k))
 				finalSim = float64(res.FinalSimilarity())
 			}
 			b.ReportMetric(finalSim, "final-similarity")
@@ -209,18 +190,19 @@ func BenchmarkAblationBudgetDivision(b *testing.B) {
 	}
 }
 
-// Ablation 5: parallel recount scan versus serial at equal semantics. The
+// Ablation 4: parallel recount scan versus serial at equal semantics. The
 // all-edges scope is the regime where the per-step candidate scan
 // dominates and parallelism pays; the restricted scope is bottlenecked on
-// the serial candidate re-enumeration instead.
+// the serial candidate re-enumeration instead. WithWorkers clamps to
+// GOMAXPROCS, so on a host with fewer CPUs than a case's worker count that
+// case runs with GOMAXPROCS workers.
 func BenchmarkAblationParallelScan(b *testing.B) {
 	p := benchProblem(b, motif.Triangle)
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := tpp.SGBGreedyParallel(p, 3, tpp.ScopeAllEdges, workers); err != nil {
-					b.Fatal(err)
-				}
+				benchRun(b, p, tpp.WithEngine(tpp.EngineRecount), tpp.WithScope(tpp.ScopeAllEdges),
+					tpp.WithWorkers(workers), tpp.WithBudget(3))
 			}
 		})
 	}
@@ -540,7 +522,7 @@ func TestArgmaxGainStepSubLinear(t *testing.T) {
 }
 
 // BenchmarkEdgeIDGreedyEndToEnd measures a whole SGB selection (index build
-// plus selection) through the public tpp entry point.
+// plus selection) through a fresh session per iteration.
 func BenchmarkEdgeIDGreedyEndToEnd(b *testing.B) {
 	rng := rand.New(rand.NewSource(12))
 	g := datasets.DBLPSim(1500, 12).Graph
@@ -549,22 +531,12 @@ func BenchmarkEdgeIDGreedyEndToEnd(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name string
-		opt  tpp.Options
-	}{
-		{"indexed", tpp.Options{Engine: tpp.EngineIndexed, Scope: tpp.ScopeTargetSubgraphs}},
-		{"lazy", tpp.Options{Engine: tpp.EngineLazy, Scope: tpp.ScopeTargetSubgraphs}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := tpp.SGBGreedy(p, 25, tc.opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	b.Run("indexed", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchRun(b, p, tpp.WithEngine(tpp.EngineIndexed), tpp.WithScope(tpp.ScopeTargetSubgraphs), tpp.WithBudget(25))
+		}
+	})
 }
 
 // --- Graph-core benchmarks (sorted-slice refactor) ---------------------------

@@ -82,7 +82,8 @@ func TestRunMethodsAndDivisions(t *testing.T) {
 
 // TestRunEnginesAndWorkers drives the engine × workers matrix through the
 // CLI: every combination must succeed and report the same protection
-// outcome (selections are engine- and worker-independent).
+// outcome (selections are engine- and worker-independent). "lazy" is the
+// retired CELF engine's spelling, kept as an alias of "indexed".
 func TestRunEnginesAndWorkers(t *testing.T) {
 	in := writeTestGraph(t)
 	var want string

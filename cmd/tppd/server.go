@@ -331,7 +331,7 @@ type protectRequest struct {
 	Pattern  string `json:"pattern,omitempty"`  // Triangle (default), Rectangle, RecTri, Pentagon
 	Method   string `json:"method,omitempty"`   // sgb (default), ct, wt, rd, rdt
 	Division string `json:"division,omitempty"` // tbd (default), dbd
-	Engine   string `json:"engine,omitempty"`   // lazy (default), indexed, recount
+	Engine   string `json:"engine,omitempty"`   // indexed (default; "lazy" is an alias), recount
 	Budget   int    `json:"budget,omitempty"`   // 0 = critical budget k*
 	Seed     int64  `json:"seed,omitempty"`     // rd/rdt randomness and target sampling
 	// Workers sets the selection parallelism: index enumeration workers,
@@ -561,7 +561,7 @@ func annotateScope(ctx context.Context, req *protectRequest, opts runOptions) {
 	sc.pattern = opts.pattern.String()
 	sc.engine = req.Engine
 	if sc.engine == "" {
-		sc.engine = "lazy"
+		sc.engine = "indexed"
 	}
 }
 

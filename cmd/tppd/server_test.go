@@ -284,6 +284,8 @@ func TestProtectWithWorkers(t *testing.T) {
 		engine  string
 		workers int
 	}{
+		// "lazy" is the retired CELF engine's spelling, kept as an alias
+		// of "indexed".
 		{"lazy", 1}, {"lazy", 4}, {"indexed", 4}, {"recount", 1}, {"recount", 4},
 	} {
 		resp, body := postProtect(t, ts, protectRequest{

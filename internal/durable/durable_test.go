@@ -205,6 +205,34 @@ func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotLegacyEngineByte pins the engine-byte mapping: recount and
+// indexed decode as themselves, byte 2 — the retired CELF lazy engine, the
+// default session engine of older snapshots — decodes as EngineIndexed and
+// still restores, and any higher byte is structural corruption.
+func TestSnapshotLegacyEngineByte(t *testing.T) {
+	for b, want := range map[byte]tpp.Engine{0: tpp.EngineRecount, 1: tpp.EngineIndexed, 2: tpp.EngineIndexed} {
+		snap := testSnapshot(t, "s-engine", 11)
+		snap.State.Engine = tpp.Engine(b)
+		got, err := DecodeSnapshot(EncodeSnapshot(nil, snap))
+		if err != nil {
+			t.Fatalf("engine byte %d: %v", b, err)
+		}
+		if got.State.Engine != want {
+			t.Fatalf("engine byte %d decoded as %v, want %v", b, got.State.Engine, want)
+		}
+		if _, err := tpp.Restore(got.State); err != nil {
+			t.Fatalf("engine byte %d: decoded state does not restore: %v", b, err)
+		}
+	}
+	for _, b := range []byte{3, 255} {
+		snap := testSnapshot(t, "s-engine", 11)
+		snap.State.Engine = tpp.Engine(b)
+		if _, err := DecodeSnapshot(EncodeSnapshot(nil, snap)); !errors.Is(err, ErrCorruptSnapshot) {
+			t.Fatalf("engine byte %d: err = %v, want ErrCorruptSnapshot", b, err)
+		}
+	}
+}
+
 func TestSnapshotDecodeRejectsEveryByteFlip(t *testing.T) {
 	enc := EncodeSnapshot(nil, testSnapshot(t, "s-flip", 9))
 	work := make([]byte, len(enc))

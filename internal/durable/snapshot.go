@@ -187,8 +187,8 @@ func DecodeSnapshot(data []byte) (*SessionSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if st.Engine = tpp.Engine(engine); st.Engine < tpp.EngineRecount || st.Engine > tpp.EngineLazy {
-		return nil, corruptSnapf("unknown engine %d", engine)
+	if st.Engine, err = decodeEngine(engine); err != nil {
+		return nil, err
 	}
 	scope, err := r.byte()
 	if err != nil {
@@ -282,6 +282,22 @@ func DecodeSnapshot(data []byte) (*SessionSnapshot, error) {
 		return nil, corruptSnapf("%d trailing bytes after snapshot body", len(r.data)-r.off)
 	}
 	return snap, nil
+}
+
+// legacyEngineLazy is the engine byte of the retired CELF lazy engine, the
+// session default when it existed. Its selections were bit-identical to
+// the indexed engine's, so snapshots carrying it restore as EngineIndexed.
+const legacyEngineLazy = 2
+
+// decodeEngine maps a snapshot's engine byte to its tpp.Engine.
+func decodeEngine(b byte) (tpp.Engine, error) {
+	switch b {
+	case byte(tpp.EngineRecount), byte(tpp.EngineIndexed):
+		return tpp.Engine(b), nil
+	case legacyEngineLazy:
+		return tpp.EngineIndexed, nil
+	}
+	return 0, corruptSnapf("unknown engine %d", b)
 }
 
 func appendString(buf []byte, s string) []byte {

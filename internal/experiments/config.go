@@ -10,6 +10,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -118,59 +119,58 @@ type FigureResult struct {
 	Series  []Series
 }
 
-// methodSpec describes one curve of Figs. 3–6. run must perform protector
-// selection with total budget k and return the result.
+// methodSpec describes one curve of Figs. 3–4. run must perform protector
+// selection on the session with total budget k and return the result.
 type methodSpec struct {
 	name string
 	// perK is true when the method must be re-run for every budget value
 	// (CT/WT: the budget division depends on k). Methods with perK=false
 	// produce their whole curve from one run's trace.
 	perK bool
-	run  func(p *tpp.Problem, k int, rng *rand.Rand) (*tpp.Result, error)
+	run  selector
 }
 
-// qualityMethods are the seven curves of Figs. 3–4. All greedy methods use
-// the indexed engine: selections are provably identical to the recount
-// engine (see tpp tests) and the figures measure similarity, not time.
+// selector runs one protector selection on a session at budget k; rng
+// drives the random baselines.
+type selector func(pr *tpp.Protector, k int, rng *rand.Rand) (*tpp.Result, error)
+
+// selection returns a selector running the session under opts at budget k.
+// Every experiment budget is positive except a table's Σ|W_t| on a
+// motif-free target set, where the session's budget 0 (the critical budget
+// k*) selects nothing either.
+func selection(opts ...tpp.Option) selector {
+	return func(pr *tpp.Protector, k int, _ *rand.Rand) (*tpp.Result, error) {
+		return pr.Run(context.TODO(), append(opts[:len(opts):len(opts)], tpp.WithBudget(k))...)
+	}
+}
+
+// rd and rdt run the random baselines with the caller's rng, which the
+// figures' repetitions seed individually.
+func rd(pr *tpp.Protector, k int, rng *rand.Rand) (*tpp.Result, error) {
+	return tpp.RandomDeletion(pr.Problem(), k, rng)
+}
+
+func rdt(pr *tpp.Protector, k int, rng *rand.Rand) (*tpp.Result, error) {
+	return tpp.RandomDeletionFromTargets(pr.Problem(), k, rng)
+}
+
+// ct and wt select with CT- and WT-Greedy under a budget division.
+func ct(d tpp.Division) selector { return selection(tpp.WithMethod(tpp.MethodCT), tpp.WithDivision(d)) }
+func wt(d tpp.Division) selector { return selection(tpp.WithMethod(tpp.MethodWT), tpp.WithDivision(d)) }
+
+// qualityMethods are the seven curves of Figs. 3–4. Every greedy method
+// runs on the session's default indexed engine: selections are provably
+// identical to the recount engine (see tpp tests) and the figures measure
+// similarity, not time.
 func qualityMethods() []methodSpec {
 	return []methodSpec{
-		{name: "SGB-Greedy(-R)", perK: false, run: func(p *tpp.Problem, k int, _ *rand.Rand) (*tpp.Result, error) {
-			return tpp.SGBGreedy(p, k, tpp.Options{Engine: tpp.EngineLazy})
-		}},
-		{name: "CT-Greedy(-R):TBD", perK: true, run: func(p *tpp.Problem, k int, _ *rand.Rand) (*tpp.Result, error) {
-			budgets, err := tpp.TBDForProblem(p, k)
-			if err != nil {
-				return nil, err
-			}
-			return tpp.CTGreedy(p, budgets, tpp.Options{Engine: tpp.EngineIndexed})
-		}},
-		{name: "WT-Greedy(-R):TBD", perK: true, run: func(p *tpp.Problem, k int, _ *rand.Rand) (*tpp.Result, error) {
-			budgets, err := tpp.TBDForProblem(p, k)
-			if err != nil {
-				return nil, err
-			}
-			return tpp.WTGreedy(p, budgets, tpp.Options{Engine: tpp.EngineIndexed})
-		}},
-		{name: "CT-Greedy(-R):DBD", perK: true, run: func(p *tpp.Problem, k int, _ *rand.Rand) (*tpp.Result, error) {
-			budgets, err := tpp.DBDForProblem(p, k)
-			if err != nil {
-				return nil, err
-			}
-			return tpp.CTGreedy(p, budgets, tpp.Options{Engine: tpp.EngineIndexed})
-		}},
-		{name: "WT-Greedy(-R):DBD", perK: true, run: func(p *tpp.Problem, k int, _ *rand.Rand) (*tpp.Result, error) {
-			budgets, err := tpp.DBDForProblem(p, k)
-			if err != nil {
-				return nil, err
-			}
-			return tpp.WTGreedy(p, budgets, tpp.Options{Engine: tpp.EngineIndexed})
-		}},
-		{name: "RD", perK: false, run: func(p *tpp.Problem, k int, rng *rand.Rand) (*tpp.Result, error) {
-			return tpp.RandomDeletion(p, k, rng)
-		}},
-		{name: "RDT", perK: false, run: func(p *tpp.Problem, k int, rng *rand.Rand) (*tpp.Result, error) {
-			return tpp.RandomDeletionFromTargets(p, k, rng)
-		}},
+		{name: "SGB-Greedy(-R)", perK: false, run: selection()},
+		{name: "CT-Greedy(-R):TBD", perK: true, run: ct(tpp.DivisionTBD)},
+		{name: "WT-Greedy(-R):TBD", perK: true, run: wt(tpp.DivisionTBD)},
+		{name: "CT-Greedy(-R):DBD", perK: true, run: ct(tpp.DivisionDBD)},
+		{name: "WT-Greedy(-R):DBD", perK: true, run: wt(tpp.DivisionDBD)},
+		{name: "RD", perK: false, run: rd},
+		{name: "RDT", perK: false, run: rdt},
 	}
 }
 

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"repro/internal/anonymize"
 	"repro/internal/datasets"
 	"repro/internal/graph"
@@ -50,21 +52,21 @@ func (c Config) Ext1StructuralComparison() ([]Ext1Result, error) {
 	for _, pattern := range motif.Patterns {
 		rng := c.rng(hashID("ext1", pattern))
 		targets := datasets.SampleTargets(g, c.ArenasTargets, rng)
-		problem, err := tpp.NewProblem(g, pattern, targets)
+		pr, err := tpp.New(g, targets, tpp.WithPattern(pattern))
 		if err != nil {
 			return nil, err
 		}
-		kstar, res, err := tpp.CriticalBudget(problem, tpp.Options{Engine: tpp.EngineLazy})
+		res, err := pr.Run(context.TODO()) // critical budget k*
 		if err != nil {
 			return nil, err
 		}
-		budget := len(targets) + kstar // total modifications TPP performed
+		budget := len(targets) + len(res.Protectors) // total modifications TPP performed
 		origVals := metrics.Compute(g, metrics.LargeGraphMetrics, c.rng(hashID("ext1m", pattern)))
 
 		er := Ext1Result{Pattern: pattern}
 
 		// TPP row.
-		released := problem.ProtectedGraph(res.Protectors)
+		released := pr.Release(res)
 		relVals := metrics.Compute(released, metrics.LargeGraphMetrics, c.rng(hashID("ext1m", pattern)))
 		_, loss := metrics.AverageUtilityLoss(origVals, relVals)
 		residual, _ := motif.CountAll(released, pattern, targets)
@@ -151,11 +153,11 @@ func (c Config) Ext4DPComparison(eps float64) ([]Ext1Row, error) {
 	g := c.arenasGraph()
 	rng := c.rng(hashID("ext4", 0))
 	targets := datasets.SampleTargets(g, c.ArenasTargets, rng)
-	problem, err := tpp.NewProblem(g, motif.Triangle, targets)
+	pr, err := tpp.New(g, targets, tpp.WithPattern(motif.Triangle))
 	if err != nil {
 		return nil, err
 	}
-	_, res, err := tpp.CriticalBudget(problem, tpp.Options{Engine: tpp.EngineLazy})
+	res, err := pr.Run(context.TODO()) // critical budget k*
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +165,7 @@ func (c Config) Ext4DPComparison(eps float64) ([]Ext1Row, error) {
 
 	var rows []Ext1Row
 	// TPP row.
-	released := problem.ProtectedGraph(res.Protectors)
+	released := pr.Release(res)
 	relVals := metrics.Compute(released, metrics.LargeGraphMetrics, c.rng(hashID("ext4m", 0)))
 	_, loss := metrics.AverageUtilityLoss(origVals, relVals)
 	rows = append(rows, Ext1Row{

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/datasets"
@@ -38,45 +39,17 @@ type TableResult struct {
 // tableMethods are the five method columns of Tables III–V.
 func tableMethods() []struct {
 	name string
-	run  func(p *tpp.Problem, full int) (*tpp.Result, error)
+	run  selector
 } {
-	opt := tpp.Options{Engine: tpp.EngineLazy}
-	optIdx := tpp.Options{Engine: tpp.EngineIndexed}
 	return []struct {
 		name string
-		run  func(p *tpp.Problem, full int) (*tpp.Result, error)
+		run  selector
 	}{
-		{"SGB-Greedy(-R)", func(p *tpp.Problem, full int) (*tpp.Result, error) {
-			return tpp.SGBGreedy(p, full, opt)
-		}},
-		{"CT-Greedy(-R):DBD", func(p *tpp.Problem, full int) (*tpp.Result, error) {
-			budgets, err := tpp.DBDForProblem(p, full)
-			if err != nil {
-				return nil, err
-			}
-			return tpp.CTGreedy(p, budgets, optIdx)
-		}},
-		{"CT-Greedy(-R):TBD", func(p *tpp.Problem, full int) (*tpp.Result, error) {
-			budgets, err := tpp.TBDForProblem(p, full)
-			if err != nil {
-				return nil, err
-			}
-			return tpp.CTGreedy(p, budgets, optIdx)
-		}},
-		{"WT-Greedy(-R):DBD", func(p *tpp.Problem, full int) (*tpp.Result, error) {
-			budgets, err := tpp.DBDForProblem(p, full)
-			if err != nil {
-				return nil, err
-			}
-			return tpp.WTGreedy(p, budgets, optIdx)
-		}},
-		{"WT-Greedy(-R):TBD", func(p *tpp.Problem, full int) (*tpp.Result, error) {
-			budgets, err := tpp.TBDForProblem(p, full)
-			if err != nil {
-				return nil, err
-			}
-			return tpp.WTGreedy(p, budgets, optIdx)
-		}},
+		{"SGB-Greedy(-R)", selection()},
+		{"CT-Greedy(-R):DBD", ct(tpp.DivisionDBD)},
+		{"CT-Greedy(-R):TBD", ct(tpp.DivisionTBD)},
+		{"WT-Greedy(-R):DBD", wt(tpp.DivisionDBD)},
+		{"WT-Greedy(-R):TBD", wt(tpp.DivisionTBD)},
 	}
 }
 
@@ -114,20 +87,21 @@ func (c Config) utilityTable(id string, g *graph.Graph, dataset string, numTarge
 	for _, pattern := range motif.Patterns {
 		rng := c.rng(hashID(id, pattern))
 		targets := datasets.SampleTargets(g, numTargets, rng)
-		p, err := tpp.NewProblem(g, pattern, targets)
+		pr, err := tpp.New(g, targets, tpp.WithPattern(pattern))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s %v: %w", id, pattern, err)
 		}
-		kstar, _, err := tpp.CriticalBudget(p, tpp.Options{Engine: tpp.EngineLazy})
+		// The session's default budget is the critical budget k*.
+		critical, err := pr.Run(context.TODO())
 		if err != nil {
 			return nil, err
 		}
 		// A budget of Σ|W_t| guarantees every method can reach full
 		// protection (one deletion per instance always suffices).
-		full := p.InitialSimilarity()
-		row := TableRow{Pattern: pattern, Loss: make(map[string]float64), KStar: kstar}
+		full := pr.Problem().InitialSimilarity()
+		row := TableRow{Pattern: pattern, Loss: make(map[string]float64), KStar: len(critical.Protectors)}
 		for _, m := range tableMethods() {
-			res, err := m.run(p, full)
+			res, err := m.run(pr, full, nil)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s %v %s: %w", id, pattern, m.name, err)
 			}
@@ -135,7 +109,7 @@ func (c Config) utilityTable(id string, g *graph.Graph, dataset string, numTarge
 				return nil, fmt.Errorf("experiments: %s %v %s: expected full protection, similarity %d remains",
 					id, pattern, m.name, res.FinalSimilarity())
 			}
-			released := p.ProtectedGraph(res.Protectors)
+			released := pr.Release(res)
 			relVals := metrics.Compute(released, kinds, c.rng(hashID(id, 0)))
 			_, mean := metrics.AverageUtilityLoss(origVals, relVals)
 			row.Loss[m.name] = mean

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/datasets"
 	"repro/internal/graph"
@@ -16,71 +15,47 @@ import (
 // "running time with budget k" (greedy selection is incremental). For
 // CT/WT the budget division is computed at the maximum budget — the
 // division affects which protectors are charged where, not the per-step
-// scan cost that the figure measures (see EXPERIMENTS.md).
+// scan cost that the figure measures (see EXPERIMENTS.md). Each panel
+// drives one session; Result.StepElapsed starts after the session has
+// built its index, so the curves time selection alone.
 
 // timingSpec is one running-time curve.
 type timingSpec struct {
 	name string
-	run  func(p *tpp.Problem, k int, rng *rand.Rand) (*tpp.Result, error)
-}
-
-func ctwtTimed(opt tpp.Options, wt bool) func(p *tpp.Problem, k int, rng *rand.Rand) (*tpp.Result, error) {
-	return func(p *tpp.Problem, k int, _ *rand.Rand) (*tpp.Result, error) {
-		budgets, err := tpp.TBDForProblem(p, k)
-		if err != nil {
-			return nil, err
-		}
-		if wt {
-			return tpp.WTGreedy(p, budgets, opt)
-		}
-		return tpp.CTGreedy(p, budgets, opt)
-	}
-}
-
-func sgbTimed(opt tpp.Options) func(p *tpp.Problem, k int, rng *rand.Rand) (*tpp.Result, error) {
-	return func(p *tpp.Problem, k int, _ *rand.Rand) (*tpp.Result, error) {
-		return tpp.SGBGreedy(p, k, opt)
-	}
+	run  selector
 }
 
 // timingMethodsFig5 lists the eight curves of paper Fig. 5: every plain
 // greedy (recount engine, all-edges scan) against its Lemma 5 restricted
 // variant (recount engine, target-subgraph candidates), plus RD and RDT.
+// CT/WT divide their budget by TBD.
 func timingMethodsFig5() []timingSpec {
-	naive := tpp.Options{Engine: tpp.EngineRecount, Scope: tpp.ScopeAllEdges}
-	restr := tpp.Options{Engine: tpp.EngineRecount, Scope: tpp.ScopeTargetSubgraphs}
+	naive := []tpp.Option{tpp.WithEngine(tpp.EngineRecount), tpp.WithScope(tpp.ScopeAllEdges)}
+	restr := []tpp.Option{tpp.WithEngine(tpp.EngineRecount), tpp.WithScope(tpp.ScopeTargetSubgraphs)}
 	return []timingSpec{
-		{name: "SGB-Greedy-R", run: sgbTimed(restr)},
-		{name: "SGB-Greedy", run: sgbTimed(naive)},
-		{name: "CT-Greedy-R", run: ctwtTimed(restr, false)},
-		{name: "CT-Greedy", run: ctwtTimed(naive, false)},
-		{name: "WT-Greedy-R", run: ctwtTimed(restr, true)},
-		{name: "WT-Greedy", run: ctwtTimed(naive, true)},
-		{name: "RD", run: func(p *tpp.Problem, k int, rng *rand.Rand) (*tpp.Result, error) {
-			return tpp.RandomDeletion(p, k, rng)
-		}},
-		{name: "RDT", run: func(p *tpp.Problem, k int, rng *rand.Rand) (*tpp.Result, error) {
-			return tpp.RandomDeletionFromTargets(p, k, rng)
-		}},
+		{name: "SGB-Greedy-R", run: selection(restr...)},
+		{name: "SGB-Greedy", run: selection(naive...)},
+		{name: "CT-Greedy-R", run: selection(append(restr, tpp.WithMethod(tpp.MethodCT))...)},
+		{name: "CT-Greedy", run: selection(append(naive, tpp.WithMethod(tpp.MethodCT))...)},
+		{name: "WT-Greedy-R", run: selection(append(restr, tpp.WithMethod(tpp.MethodWT))...)},
+		{name: "WT-Greedy", run: selection(append(naive, tpp.WithMethod(tpp.MethodWT))...)},
+		{name: "RD", run: rd},
+		{name: "RDT", run: rdt},
 	}
 }
 
 // timingMethodsFig6 lists the five curves of paper Fig. 6 (DBLP): only the
 // scalable variants run at this scale, exactly as in the paper. Our
-// scalable implementation is the inverted-index engine (strictly stronger
-// than the paper's restricted recount — see the ablation benches).
+// scalable implementation is the session's default inverted-index engine
+// (strictly stronger than the paper's restricted recount — see the
+// ablation benches).
 func timingMethodsFig6() []timingSpec {
-	fast := tpp.Options{Engine: tpp.EngineIndexed, Scope: tpp.ScopeTargetSubgraphs}
 	return []timingSpec{
-		{name: "SGB-Greedy-R", run: sgbTimed(fast)},
-		{name: "CT-Greedy-R", run: ctwtTimed(fast, false)},
-		{name: "WT-Greedy-R", run: ctwtTimed(fast, true)},
-		{name: "RD", run: func(p *tpp.Problem, k int, rng *rand.Rand) (*tpp.Result, error) {
-			return tpp.RandomDeletion(p, k, rng)
-		}},
-		{name: "RDT", run: func(p *tpp.Problem, k int, rng *rand.Rand) (*tpp.Result, error) {
-			return tpp.RandomDeletionFromTargets(p, k, rng)
-		}},
+		{name: "SGB-Greedy-R", run: selection()},
+		{name: "CT-Greedy-R", run: ct(tpp.DivisionTBD)},
+		{name: "WT-Greedy-R", run: wt(tpp.DivisionTBD)},
+		{name: "RD", run: rd},
+		{name: "RDT", run: rdt},
 	}
 }
 
@@ -101,14 +76,16 @@ func (c Config) timingFigure(id string, g *graph.Graph, numTargets int, specs []
 	for _, pattern := range motif.Patterns {
 		rng := c.rng(hashID(id, pattern))
 		targets := datasets.SampleTargets(g, numTargets, rng)
-		p, err := tpp.NewProblem(g, pattern, targets)
+		// Warm start off: every SGB run on the shared session is a cold
+		// selection, so the curves time the greedy itself, never a replay.
+		pr, err := tpp.New(g, targets, tpp.WithPattern(pattern), tpp.WithWarmStart(false))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s %v: %w", id, pattern, err)
 		}
 		grid := kGrid(c.TimeBudget, 6)
 		fr := FigureResult{ID: id, Pattern: pattern}
 		for _, spec := range specs {
-			res, err := spec.run(p, c.TimeBudget, rng)
+			res, err := spec.run(pr, c.TimeBudget, rng)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s %v %s: %w", id, pattern, spec.name, err)
 			}

@@ -1,6 +1,7 @@
 package linkpred
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -161,18 +162,18 @@ func TestFullProtectionDefeatsTriangleIndices(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	g := gen.BarabasiAlbertTriad(150, 4, 0.5, rng)
 	targets := datasets.SampleTargets(g, 8, rng)
-	p, err := tpp.NewProblem(g, motif.Triangle, targets)
+	pr, err := tpp.New(g, targets, tpp.WithPattern(motif.Triangle))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, res, err := tpp.CriticalBudget(p, tpp.Options{Engine: tpp.EngineLazy})
+	res, err := pr.Run(context.Background()) // critical budget k*
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.FullProtection() {
 		t.Fatal("critical-budget run did not reach full protection")
 	}
-	released := p.ProtectedGraph(res.Protectors)
+	released := pr.Release(res)
 	for _, kind := range TriangleIndices {
 		scores := TargetScores(released, kind, targets)
 		if !AllZero(scores) {

@@ -1,6 +1,7 @@
 package linkpred
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -85,20 +86,20 @@ func TestPrecisionCollapsesUnderTPP(t *testing.T) {
 	if len(targets) < 2 {
 		t.Skip("graph too sparse for the scenario")
 	}
-	p, err := tpp.NewProblem(g, motif.Triangle, targets)
+	pr, err := tpp.New(g, targets, tpp.WithPattern(motif.Triangle))
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive := p.Phase1()
+	naive := pr.Problem().Phase1()
 	before := PrecisionAtK(naive, CommonNeighbors, targets, 300)
 	if before == 0 {
 		t.Fatal("attack premise failed: no signal before protection")
 	}
-	_, res, err := tpp.CriticalBudget(p, tpp.Options{Engine: tpp.EngineLazy})
+	res, err := pr.Run(context.Background()) // critical budget k*
 	if err != nil {
 		t.Fatal(err)
 	}
-	released := p.ProtectedGraph(res.Protectors)
+	released := pr.Release(res)
 	for _, k := range []int{1, 10, 100} {
 		if after := PrecisionAtK(released, CommonNeighbors, targets, k); after != 0 {
 			t.Fatalf("precision@%d = %v after full protection, want 0", k, after)

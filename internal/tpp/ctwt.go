@@ -1,7 +1,6 @@
 package tpp
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -37,22 +36,13 @@ func validateBudgets(p *Problem, budgets []int) error {
 	return nil
 }
 
-// CTGreedy solves the Multi-Local-Budget TPP problem with cross-target
+// ctGreedy solves the Multi-Local-Budget TPP problem with cross-target
 // protector picking (paper Algorithm 2): at every step consider every
 // (target, protector) pair where the target still has budget, and commit
 // the pair with the largest Δ_p^t, charging that target's sub budget.
 // This is greedy submodular maximisation over a partition matroid and
 // achieves a 1/2-approximation (Theorem 4).
-func CTGreedy(p *Problem, budgets []int, opt Options) (*Result, error) {
-	return ctGreedy(p, budgets, opt, runEnv{})
-}
-
-// CTGreedyCtx is CTGreedy with cooperative cancellation (see SGBGreedyCtx).
-func CTGreedyCtx(ctx context.Context, p *Problem, budgets []int, opt Options) (*Result, error) {
-	return ctGreedy(p, budgets, opt, runEnv{ctx: ctx})
-}
-
-func ctGreedy(p *Problem, budgets []int, opt Options, env runEnv) (*Result, error) {
+func ctGreedy(p *Problem, budgets []int, opt options, env runEnv) (*Result, error) {
 	if err := validateBudgets(p, budgets); err != nil {
 		return nil, err
 	}
@@ -61,7 +51,7 @@ func ctGreedy(p *Problem, budgets []int, opt Options, env runEnv) (*Result, erro
 		return nil, err
 	}
 	start := time.Now()
-	res := newResult(opt.VariantName("CT-Greedy"), ev.totalSimilarity())
+	res := newResult(opt.variantName("CT-Greedy"), ev.totalSimilarity())
 	used := make([]int, len(budgets))
 	var cands []graph.EdgeID
 	gvBuf := make([]int, len(p.Targets))
@@ -117,21 +107,12 @@ func ctGreedy(p *Problem, budgets []int, opt Options, env runEnv) (*Result, erro
 	return res, nil
 }
 
-// WTGreedy solves the Multi-Local-Budget TPP problem with within-target
+// wtGreedy solves the Multi-Local-Budget TPP problem with within-target
 // protector picking (paper Algorithm 3): satisfy targets one at a time in
 // order, spending each target's sub budget on the protectors with the
 // largest Δ_p^t for that target. Achieves a 1 − e^{−(1−1/e)} ≈ 0.46
 // approximation (Theorem 5).
-func WTGreedy(p *Problem, budgets []int, opt Options) (*Result, error) {
-	return wtGreedy(p, budgets, opt, runEnv{})
-}
-
-// WTGreedyCtx is WTGreedy with cooperative cancellation (see SGBGreedyCtx).
-func WTGreedyCtx(ctx context.Context, p *Problem, budgets []int, opt Options) (*Result, error) {
-	return wtGreedy(p, budgets, opt, runEnv{ctx: ctx})
-}
-
-func wtGreedy(p *Problem, budgets []int, opt Options, env runEnv) (*Result, error) {
+func wtGreedy(p *Problem, budgets []int, opt options, env runEnv) (*Result, error) {
 	if err := validateBudgets(p, budgets); err != nil {
 		return nil, err
 	}
@@ -140,7 +121,7 @@ func wtGreedy(p *Problem, budgets []int, opt Options, env runEnv) (*Result, erro
 		return nil, err
 	}
 	start := time.Now()
-	res := newResult(opt.VariantName("WT-Greedy"), ev.totalSimilarity())
+	res := newResult(opt.variantName("WT-Greedy"), ev.totalSimilarity())
 	finish := func() (*Result, error) {
 		res.PerTargetFinal = append([]int(nil), ev.similarities()...)
 		res.Elapsed = time.Since(start)

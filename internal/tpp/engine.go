@@ -16,13 +16,10 @@ const (
 	// time Figs. 5–6 measure.
 	EngineRecount Engine = iota
 	// EngineIndexed uses the inverted edge→instance index (motif.Index) to
-	// answer gains in O(instances containing p). Selections are identical
-	// to EngineRecount; only the cost differs.
+	// answer gains in O(instances containing p), and SGB's per-step argmax
+	// from the index's maintained gain heap. Selections are identical to
+	// EngineRecount; only the cost differs.
 	EngineIndexed
-	// EngineLazy is EngineIndexed plus CELF lazy evaluation: stale gains sit
-	// in a max-heap and are refreshed only when popped. Exact under
-	// submodularity; our extension beyond the paper.
-	EngineLazy
 )
 
 // String names the engine.
@@ -32,8 +29,6 @@ func (e Engine) String() string {
 		return "recount"
 	case EngineIndexed:
 		return "indexed"
-	case EngineLazy:
-		return "lazy"
 	}
 	return fmt.Sprintf("Engine(%d)", int(e))
 }
@@ -61,16 +56,16 @@ func (s Scope) String() string {
 	return fmt.Sprintf("Scope(%d)", int(s))
 }
 
-// Options configures a greedy run. The zero value is the paper's plain
+// options configures a greedy run. The zero value is the paper's plain
 // algorithm (recount engine, all-edges scope).
-type Options struct {
+type options struct {
 	Engine Engine
 	Scope  Scope
 }
 
-// VariantName renders the conventional paper name for an algorithm base
+// variantName renders the conventional paper name for an algorithm base
 // name under these options, e.g. "SGB-Greedy-R".
-func (o Options) VariantName(base string) string {
+func (o options) variantName(base string) string {
 	if o.Scope == ScopeTargetSubgraphs {
 		return base + "-R"
 	}
@@ -117,11 +112,11 @@ type argmaxEvaluator interface {
 // newEvaluator builds the gain oracle for a problem under the options.
 // The returned evaluator owns its working graph/index; workers bounds the
 // index enumeration parallelism (<= 0 selects GOMAXPROCS).
-func newEvaluator(p *Problem, opt Options, workers int) (evaluator, error) {
+func newEvaluator(p *Problem, opt options, workers int) (evaluator, error) {
 	switch opt.Engine {
 	case EngineRecount:
 		return newRecountEvaluator(p, opt.Scope), nil
-	case EngineIndexed, EngineLazy:
+	case EngineIndexed:
 		ix, err := motif.NewIndexWorkers(p.Phase1(), p.Pattern, p.Targets, workers)
 		if err != nil {
 			return nil, err

@@ -8,10 +8,10 @@ import (
 )
 
 func TestEngineAndScopeStrings(t *testing.T) {
-	if EngineRecount.String() != "recount" || EngineIndexed.String() != "indexed" || EngineLazy.String() != "lazy" {
+	if EngineRecount.String() != "recount" || EngineIndexed.String() != "indexed" {
 		t.Fatal("engine names wrong")
 	}
-	if Engine(42).String() != "Engine(42)" {
+	if Engine(2).String() != "Engine(2)" || Engine(42).String() != "Engine(42)" {
 		t.Fatal("unknown engine formatting wrong")
 	}
 	if ScopeAllEdges.String() != "all-edges" || ScopeTargetSubgraphs.String() != "restricted" {
@@ -23,17 +23,17 @@ func TestEngineAndScopeStrings(t *testing.T) {
 }
 
 func TestVariantName(t *testing.T) {
-	if got := (Options{}).VariantName("SGB-Greedy"); got != "SGB-Greedy" {
+	if got := (options{}).variantName("SGB-Greedy"); got != "SGB-Greedy" {
 		t.Fatalf("plain variant = %q", got)
 	}
-	if got := (Options{Scope: ScopeTargetSubgraphs}).VariantName("CT-Greedy"); got != "CT-Greedy-R" {
+	if got := (options{Scope: ScopeTargetSubgraphs}).variantName("CT-Greedy"); got != "CT-Greedy-R" {
 		t.Fatalf("restricted variant = %q", got)
 	}
 }
 
 func TestNewEvaluatorUnknownEngine(t *testing.T) {
 	p, _ := fig2Problem(t)
-	if _, err := newEvaluator(p, Options{Engine: Engine(99)}, 0); err == nil {
+	if _, err := newEvaluator(p, options{Engine: Engine(99)}, 0); err == nil {
 		t.Fatal("unknown engine accepted")
 	}
 }
@@ -83,7 +83,7 @@ func TestRecountCandidatesShrinkAfterDeletion(t *testing.T) {
 
 func TestIndexedEvaluatorDeletedEdgeGains(t *testing.T) {
 	p, _ := fig2Problem(t)
-	ev, err := newEvaluator(p, Options{Engine: EngineIndexed}, 0)
+	ev, err := newEvaluator(p, options{Engine: EngineIndexed}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestIndexedEvaluatorDeletedEdgeGains(t *testing.T) {
 func TestEvaluatorCandidateEdgesAgree(t *testing.T) {
 	p, _ := fig2Problem(t)
 	rec := newRecountEvaluator(p, ScopeTargetSubgraphs)
-	idx, err := newEvaluator(p, Options{Engine: EngineIndexed}, 0)
+	idx, err := newEvaluator(p, options{Engine: EngineIndexed}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestPatternAgnosticProblem(t *testing.T) {
 	p, _ := fig2Problem(t)
 	for _, pattern := range motif.AllPatterns {
 		q := &Problem{G: p.G, Pattern: pattern, Targets: p.Targets}
-		_, res, err := CriticalBudget(q, Options{Engine: EngineLazy})
+		_, res, err := criticalBudget(q, options{Engine: EngineIndexed}, runEnv{})
 		if err != nil {
 			t.Fatalf("%v: %v", pattern, err)
 		}

@@ -47,7 +47,7 @@ func TestPropertyWeightedUnitEqualsUnweighted(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		u, err := SGBGreedy(p, 5, Options{Engine: EngineLazy})
+		u, err := sgbGreedy(p, 5, options{Engine: EngineIndexed}, runEnv{})
 		if err != nil {
 			return false
 		}
@@ -144,11 +144,11 @@ func TestPropertyMLBTApproximationBounds(t *testing.T) {
 			return true
 		}
 		checked++
-		ct, err := CTGreedy(p, budgets, Options{Engine: EngineIndexed})
+		ct, err := ctGreedy(p, budgets, options{Engine: EngineIndexed}, runEnv{})
 		if err != nil {
 			return false
 		}
-		wt, err := WTGreedy(p, budgets, Options{Engine: EngineIndexed})
+		wt, err := wtGreedy(p, budgets, options{Engine: EngineIndexed}, runEnv{})
 		if err != nil {
 			return false
 		}
@@ -188,7 +188,7 @@ func TestOptimalMLBTOnFig2(t *testing.T) {
 	if opt != 5 {
 		t.Fatalf("MLBT optimum = %d, want 5", opt)
 	}
-	ct, err := CTGreedy(p, budgets, Options{Engine: EngineIndexed})
+	ct, err := ctGreedy(p, budgets, options{Engine: EngineIndexed}, runEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestNodeProtectionEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, res, err := CriticalBudget(p, Options{Engine: EngineLazy})
+	_, res, err := criticalBudget(p, options{Engine: EngineIndexed}, runEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}

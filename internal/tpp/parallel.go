@@ -2,7 +2,6 @@ package tpp
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -23,16 +22,8 @@ import (
 // Sessions reach it through WithWorkers; sgbGreedy routes here when the
 // engine is EngineRecount and more than one worker was requested.
 
-// SGBGreedyParallel runs SGB-Greedy with the recount engine using the
-// given number of workers (0 or 1 falls back to the serial SGBGreedy;
-// negative selects GOMAXPROCS). Scope semantics match Options.Scope.
-func SGBGreedyParallel(p *Problem, k int, scope Scope, workers int) (*Result, error) {
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return sgbGreedyParallel(p, k, scope, workers, runEnv{})
-}
-
+// sgbGreedyParallel runs SGB-Greedy with the recount engine using the
+// given number of workers (0 or 1 falls back to the serial sgbGreedy).
 func sgbGreedyParallel(p *Problem, k int, scope Scope, workers int, env runEnv) (*Result, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("%w: %d", ErrNegativeBudget, k)
@@ -40,7 +31,7 @@ func sgbGreedyParallel(p *Problem, k int, scope Scope, workers int, env runEnv) 
 	if workers <= 1 {
 		serialEnv := env
 		serialEnv.workers = 1
-		return sgbGreedy(p, k, Options{Engine: EngineRecount, Scope: scope}, serialEnv)
+		return sgbGreedy(p, k, options{Engine: EngineRecount, Scope: scope}, serialEnv)
 	}
 
 	start := time.Now()
@@ -52,7 +43,7 @@ func sgbGreedyParallel(p *Problem, k int, scope Scope, workers int, env runEnv) 
 		graphs[i] = p.Phase1()
 	}
 
-	res := newResult(Options{Scope: scope}.VariantName("SGB-Greedy")+":parallel", master.totalSimilarity())
+	res := newResult(options{Scope: scope}.variantName("SGB-Greedy")+":parallel", master.totalSimilarity())
 	type bestPick struct {
 		id   graph.EdgeID
 		gain int

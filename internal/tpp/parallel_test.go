@@ -23,12 +23,12 @@ func TestPropertyParallelEqualsSerial(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		serial, err := SGBGreedy(p, 5, Options{Engine: EngineRecount, Scope: ScopeTargetSubgraphs})
+		serial, err := sgbGreedy(p, 5, options{Engine: EngineRecount, Scope: ScopeTargetSubgraphs}, runEnv{})
 		if err != nil {
 			return false
 		}
 		for _, workers := range []int{2, 3, 7} {
-			par, err := SGBGreedyParallel(p, 5, ScopeTargetSubgraphs, workers)
+			par, err := sgbGreedyParallel(p, 5, ScopeTargetSubgraphs, workers, runEnv{})
 			if err != nil {
 				return false
 			}
@@ -48,27 +48,27 @@ func TestPropertyParallelEqualsSerial(t *testing.T) {
 
 func TestParallelFallbackAndValidation(t *testing.T) {
 	p, _ := fig2Problem(t)
-	if _, err := SGBGreedyParallel(p, -1, ScopeAllEdges, 4); err == nil {
+	if _, err := sgbGreedyParallel(p, -1, ScopeAllEdges, 4, runEnv{}); err == nil {
 		t.Fatal("negative budget accepted")
 	}
 	// workers <= 1 falls back to serial.
-	one, err := SGBGreedyParallel(p, 2, ScopeAllEdges, 1)
+	one, err := sgbGreedyParallel(p, 2, ScopeAllEdges, 1, runEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := SGBGreedy(p, 2, Options{Engine: EngineRecount, Scope: ScopeAllEdges})
+	serial, err := sgbGreedy(p, 2, options{Engine: EngineRecount, Scope: ScopeAllEdges}, runEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(one.Protectors, serial.Protectors) {
 		t.Fatal("workers=1 fallback diverged from serial")
 	}
-	// workers < 0 selects GOMAXPROCS and must still match.
-	auto, err := SGBGreedyParallel(p, 2, ScopeAllEdges, -1)
+	// More workers than candidates leaves some idle and must still match.
+	wide, err := sgbGreedyParallel(p, 2, ScopeAllEdges, 64, runEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(auto.Protectors, serial.Protectors) {
-		t.Fatal("auto worker count diverged from serial")
+	if !reflect.DeepEqual(wide.Protectors, serial.Protectors) {
+		t.Fatal("wide worker count diverged from serial")
 	}
 }

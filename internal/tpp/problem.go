@@ -19,14 +19,14 @@
 //	res, err := session.Run(ctx)
 //	released := session.Release(res)
 //
-// Underneath, the package provides the paper's three greedy
-// protector-selection algorithms (SGB-Greedy, CT-Greedy, WT-Greedy), their
-// scalable -R variants (Lemma 5 candidate restriction), the TBD and DBD
-// budget division strategies, the RD/RDT baselines, a CELF-style
-// lazy-greedy extension, and a brute-force optimum for verifying
-// approximation bounds on small instances. These remain exported for fine
-// control; cmd/tpp, cmd/tppd and the examples all dispatch through the
-// session.
+// The session is the one way to run the paper's three greedy
+// protector-selection algorithms (SGB-Greedy, CT-Greedy, WT-Greedy) and
+// their scalable -R variants (Lemma 5 candidate restriction), under either
+// the paper's recount cost model or the inverted-index engine. The package
+// also exports the TBD and DBD budget division strategies, the RD/RDT
+// baselines (which take the caller's RNG), the weighted, Katz and guard
+// extensions, and brute-force optima for verifying approximation bounds on
+// small instances.
 package tpp
 
 import (

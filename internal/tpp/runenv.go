@@ -19,15 +19,16 @@ type ProgressFunc func(step int, protector graph.Edge, similarity int)
 // loops: the cancellation context, an optional prebuilt motif index to
 // reuse instead of enumerating afresh, an optional progress callback, and
 // the worker count for index enumeration and the parallel recount scan.
-// The zero value (no context, no index, no progress, auto workers)
-// reproduces the plain free-function behaviour.
+// The zero value (no context, no index, no progress, auto workers) runs a
+// standalone selection on fresh state, as the guard and the in-package
+// reference tests do.
 type runEnv struct {
 	ctx      context.Context
 	ix       *motif.Index
 	progress ProgressFunc
 	workers  int // <= 0: auto (GOMAXPROCS) for index builds, serial scans
 	// stages receives per-stage timing spans (enumeration, scoring, warm
-	// replay, cold selection). nil — the common free-function case — records
+	// replay, cold selection). nil — a standalone selection — records
 	// nothing; telemetry.Stages is nil-safe by contract.
 	stages *telemetry.Stages
 }
@@ -54,7 +55,7 @@ func (e *runEnv) onStep(res *Result) {
 // evaluator returns the gain oracle for the run: the prebuilt index when
 // one is installed and the engine can use it, otherwise a fresh one from
 // newEvaluator.
-func (e *runEnv) evaluator(p *Problem, opt Options) (evaluator, error) {
+func (e *runEnv) evaluator(p *Problem, opt options) (evaluator, error) {
 	if e.ix != nil && opt.Engine != EngineRecount {
 		return &indexedEvaluator{ix: e.ix}, nil
 	}

@@ -37,8 +37,9 @@ func normalizeWorkers(n int) int {
 // because they share the cached index, and a Run waiting its turn still
 // honours its context's cancellation and deadline.
 //
-// Protector is the front door of this package: cmd/tpp, cmd/tppd, the
-// examples and the deprecated Protect shim all dispatch through it.
+// Protector is the front door of this package and its one selection API:
+// cmd/tpp, cmd/tppd, the experiments and the examples all dispatch through
+// it.
 type Protector struct {
 	problem *Problem
 	base    settings
@@ -77,7 +78,7 @@ func defaultSettings() settings {
 		method:   MethodSGB,
 		division: DivisionTBD,
 		budget:   0, // critical budget k*
-		engine:   EngineLazy,
+		engine:   EngineIndexed,
 		scope:    ScopeTargetSubgraphs,
 		seed:     1,
 	}
@@ -133,8 +134,8 @@ func WithDivision(d Division) Option {
 // protection. Negative budgets fail validation with ErrNegativeBudget.
 func WithBudget(k int) Option { return func(s *settings) { s.budget = k } }
 
-// WithEngine selects the gain-evaluation engine (default EngineLazy, the
-// fastest). Every engine produces identical selections; EngineRecount exists
+// WithEngine selects the gain-evaluation engine (default EngineIndexed, the
+// fast one). Both engines produce identical selections; EngineRecount exists
 // to reproduce the paper's naive running-time baseline and bypasses the
 // session's index cache.
 func WithEngine(e Engine) Option { return func(s *settings) { s.engine = e } }
@@ -262,7 +263,7 @@ func (pr *Protector) Run(ctx context.Context, opts ...Option) (*Result, error) {
 		}
 		env.ix = pr.ix
 	}
-	opt := Options{Engine: s.engine, Scope: s.scope}
+	opt := options{Engine: s.engine, Scope: s.scope}
 
 	if s.method == MethodSGB {
 		// Budget 0 = critical budget k*: the unbounded SGB run is itself the
@@ -363,20 +364,19 @@ func ParseMethod(s string) (Method, error) {
 	}
 }
 
-// ParseEngine maps the wire/CLI spelling of a gain engine ("lazy",
-// "indexed", "recount"; empty selects the default EngineLazy) to its
-// Engine, or fails with ErrUnknownEngine. Every engine produces identical
+// ParseEngine maps the wire/CLI spelling of a gain engine ("indexed",
+// "recount"; empty selects the default EngineIndexed) to its Engine, or
+// fails with ErrUnknownEngine. "lazy", the retired CELF engine's spelling,
+// is accepted as an alias of "indexed". Both engines produce identical
 // selections — the spelling picks a cost model, not an algorithm.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
-	case "", "lazy":
-		return EngineLazy, nil
-	case "indexed":
+	case "", "indexed", "lazy":
 		return EngineIndexed, nil
 	case "recount":
 		return EngineRecount, nil
 	default:
-		return 0, fmt.Errorf("%w: %q (want lazy, indexed or recount)", ErrUnknownEngine, s)
+		return 0, fmt.Errorf("%w: %q (want indexed or recount)", ErrUnknownEngine, s)
 	}
 }
 

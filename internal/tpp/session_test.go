@@ -23,9 +23,9 @@ func sessionTestInstance(t *testing.T) (*graph.Graph, []graph.Edge) {
 	return g, targets
 }
 
-// legacyDispatch reproduces the pre-session Protect dispatch verbatim —
-// free functions, fresh state per call — as the golden reference for the
-// session's default behaviour.
+// legacyDispatch reproduces the pre-session dispatch verbatim — the
+// package's selection functions called directly, fresh state per call — as
+// the golden reference for the session's default behaviour.
 func legacyDispatch(t *testing.T, g *graph.Graph, targets []graph.Edge,
 	method Method, division Division, budget int, seed int64) *Result {
 	t.Helper()
@@ -33,9 +33,9 @@ func legacyDispatch(t *testing.T, g *graph.Graph, targets []graph.Edge,
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast := Options{Engine: EngineLazy, Scope: ScopeTargetSubgraphs}
+	fast := options{Engine: EngineIndexed, Scope: ScopeTargetSubgraphs}
 	if budget <= 0 {
-		kstar, res, err := CriticalBudget(problem, fast)
+		kstar, res, err := criticalBudget(problem, fast, runEnv{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func legacyDispatch(t *testing.T, g *graph.Graph, targets []graph.Edge,
 	var res *Result
 	switch method {
 	case MethodSGB:
-		res, err = SGBGreedy(problem, budget, fast)
+		res, err = sgbGreedy(problem, budget, fast, runEnv{})
 	case MethodCT, MethodWT:
 		var budgets []int
 		if division == DivisionTBD {
@@ -59,9 +59,9 @@ func legacyDispatch(t *testing.T, g *graph.Graph, targets []graph.Edge,
 			t.Fatal(err)
 		}
 		if method == MethodCT {
-			res, err = CTGreedy(problem, budgets, Options{Engine: EngineIndexed})
+			res, err = ctGreedy(problem, budgets, options{Engine: EngineIndexed}, runEnv{})
 		} else {
-			res, err = WTGreedy(problem, budgets, Options{Engine: EngineIndexed})
+			res, err = wtGreedy(problem, budgets, options{Engine: EngineIndexed}, runEnv{})
 		}
 	case MethodRD:
 		res, err = RandomDeletion(problem, budget, rand.New(rand.NewSource(seed)))
@@ -74,8 +74,8 @@ func legacyDispatch(t *testing.T, g *graph.Graph, targets []graph.Edge,
 	return res
 }
 
-// TestSessionMatchesLegacyDispatch pins the session defaults to the old
-// Protect behaviour: identical protector selections and similarity traces
+// TestSessionMatchesLegacyDispatch pins the session defaults to the direct
+// dispatch: identical protector selections and similarity traces
 // for every method × division at both a fixed and the critical budget.
 func TestSessionMatchesLegacyDispatch(t *testing.T) {
 	g, targets := sessionTestInstance(t)
@@ -370,8 +370,9 @@ func TestGuardAddEdgeCtxPartialRepair(t *testing.T) {
 	}
 }
 
-// TestFreeFunctionCtxVariants checks the lower-level context-aware entry
-// points abort with ctx.Err() when handed a dead context.
+// TestFreeFunctionCtxVariants checks the selection functions the session
+// dispatches through, and NewGuardCtx, abort with ctx.Err() when handed a
+// dead context.
 func TestFreeFunctionCtxVariants(t *testing.T) {
 	g, targets := sessionTestInstance(t)
 	p, err := NewProblem(g, motif.Triangle, targets)
@@ -380,21 +381,18 @@ func TestFreeFunctionCtxVariants(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opt := Options{Engine: EngineIndexed}
-	if _, err := SGBGreedyCtx(ctx, p, 3, opt); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SGBGreedyCtx: %v", err)
+	opt := options{Engine: EngineIndexed}
+	if _, err := sgbGreedy(p, 3, opt, runEnv{ctx: ctx}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("sgbGreedy: %v", err)
 	}
-	if _, err := SGBGreedyCtx(ctx, p, 3, Options{Engine: EngineLazy}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SGBGreedyCtx(lazy): %v", err)
+	if _, err := ctGreedy(p, []int{1, 1, 1, 1}, opt, runEnv{ctx: ctx}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ctGreedy: %v", err)
 	}
-	if _, err := CTGreedyCtx(ctx, p, []int{1, 1, 1, 1}, opt); !errors.Is(err, context.Canceled) {
-		t.Fatalf("CTGreedyCtx: %v", err)
+	if _, err := wtGreedy(p, []int{1, 1, 1, 1}, opt, runEnv{ctx: ctx}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("wtGreedy: %v", err)
 	}
-	if _, err := WTGreedyCtx(ctx, p, []int{1, 1, 1, 1}, opt); !errors.Is(err, context.Canceled) {
-		t.Fatalf("WTGreedyCtx: %v", err)
-	}
-	if _, _, err := CriticalBudgetCtx(ctx, p, opt); !errors.Is(err, context.Canceled) {
-		t.Fatalf("CriticalBudgetCtx: %v", err)
+	if _, _, err := criticalBudget(p, opt, runEnv{ctx: ctx}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("criticalBudget: %v", err)
 	}
 	if _, err := NewGuardCtx(ctx, p); !errors.Is(err, context.Canceled) {
 		t.Fatalf("NewGuardCtx: %v", err)

@@ -1,36 +1,22 @@
 package tpp
 
 import (
-	"container/heap"
-	"context"
 	"fmt"
 	"time"
 
 	"repro/internal/graph"
 )
 
-// SGBGreedy solves the Single-Global-Budget TPP problem (paper Def. 1,
+// sgbGreedy solves the Single-Global-Budget TPP problem (paper Def. 1,
 // Algorithm 1): iteratively delete the protector with the largest marginal
 // dissimilarity gain until the budget k is spent or no deletion helps.
 // Because f(P, T) is monotone and submodular (Lemmas 1–2), the output is a
-// (1 − 1/e)-approximation of the optimal protector set (Theorem 3).
-func SGBGreedy(p *Problem, k int, opt Options) (*Result, error) {
-	return sgbGreedy(p, k, opt, runEnv{})
-}
-
-// SGBGreedyCtx is SGBGreedy with cooperative cancellation: the selection
-// loop checks ctx between steps (and periodically inside candidate scans)
-// and aborts with ctx.Err() when it is cancelled or past its deadline.
-func SGBGreedyCtx(ctx context.Context, p *Problem, k int, opt Options) (*Result, error) {
-	return sgbGreedy(p, k, opt, runEnv{ctx: ctx})
-}
-
-func sgbGreedy(p *Problem, k int, opt Options, env runEnv) (*Result, error) {
+// (1 − 1/e)-approximation of the optimal protector set (Theorem 3). The
+// loop checks env's context between steps (and periodically inside
+// candidate scans) and aborts with ctx.Err() once it is done.
+func sgbGreedy(p *Problem, k int, opt options, env runEnv) (*Result, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("%w: %d", ErrNegativeBudget, k)
-	}
-	if opt.Engine == EngineLazy {
-		return sgbLazy(p, k, opt, env)
 	}
 	if opt.Engine == EngineRecount && env.workers > 1 {
 		// The recount argmax scan is the one regime where a parallel scan
@@ -42,7 +28,7 @@ func sgbGreedy(p *Problem, k int, opt Options, env runEnv) (*Result, error) {
 		return nil, err
 	}
 	start := time.Now()
-	res := newResult(opt.VariantName("SGB-Greedy"), ev.totalSimilarity())
+	res := newResult(opt.variantName("SGB-Greedy"), ev.totalSimilarity())
 	am, hasHeap := ev.(argmaxEvaluator)
 	var cands []graph.EdgeID
 	for len(res.Protectors) < k {
@@ -82,106 +68,12 @@ func sgbGreedy(p *Problem, k int, opt Options, env runEnv) (*Result, error) {
 	return res, nil
 }
 
-// sgbLazy is SGB-Greedy with CELF lazy evaluation on top of the inverted
-// index. Submodularity guarantees cached upper bounds only shrink, so
-// popping the heap until the top is fresh yields the exact greedy choice.
-func sgbLazy(p *Problem, k int, opt Options, env runEnv) (*Result, error) {
-	ix, err := env.index(p)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	res := newResult(opt.VariantName("SGB-Greedy")+":lazy", ix.TotalSimilarity())
-
-	h := &gainHeap{}
-	for _, id := range ix.AppendCandidateIDs(nil) {
-		h.items = append(h.items, gainItem{id: id, gain: ix.GainID(id), round: 0})
-	}
-	heap.Init(h)
-
-	round := 0
-	refreshed := 0
-	for len(res.Protectors) < k && h.Len() > 0 {
-		top := h.items[0]
-		if top.round != round {
-			// Stale: refresh and push back; the heap property re-sorts it.
-			h.items[0].gain = ix.GainID(top.id)
-			h.items[0].round = round
-			heap.Fix(h, 0)
-			refreshed++
-			if refreshed%checkEvery == 0 {
-				if err := env.err(); err != nil {
-					return nil, err
-				}
-			}
-			continue
-		}
-		if err := env.err(); err != nil {
-			return nil, err
-		}
-		heap.Pop(h)
-		if top.gain == 0 {
-			break
-		}
-		ix.DeleteEdgeID(top.id)
-		res.record(ix.Interner().Edge(top.id), ix.TotalSimilarity(), time.Since(start))
-		env.onStep(res)
-		round++
-	}
-	res.PerTargetFinal = ix.Similarities()
-	res.Elapsed = time.Since(start)
-	return res, nil
-}
-
-// gainItem is a CELF heap entry: an edge id with its last-computed gain and
-// the selection round at which that gain was computed.
-type gainItem struct {
-	id    graph.EdgeID
-	gain  int
-	round int
-}
-
-// gainHeap is a max-heap by gain with ascending edge id — i.e. canonical
-// edge order — as tie-break, keeping the lazy greedy fully deterministic.
-type gainHeap struct{ items []gainItem }
-
-func (h *gainHeap) Len() int { return len(h.items) }
-
-//tpp:hotpath
-func (h *gainHeap) Less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
-	if a.gain != b.gain {
-		return a.gain > b.gain
-	}
-	return a.id < b.id
-}
-
-//tpp:hotpath
-func (h *gainHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *gainHeap) Push(x interface{}) { h.items = append(h.items, x.(gainItem)) }
-func (h *gainHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
-}
-
-// CriticalBudget computes k* — the smallest budget achieving full
+// criticalBudget computes k* — the smallest budget achieving full
 // protection (s(P, T) = 0) — by running SGB-Greedy with an unbounded
 // budget. The greedy stops exactly when every remaining gain is zero,
 // which for this objective coincides with total similarity zero.
-func CriticalBudget(p *Problem, opt Options) (int, *Result, error) {
-	return criticalBudget(p, opt, runEnv{})
-}
-
-// CriticalBudgetCtx is CriticalBudget with cooperative cancellation.
-func CriticalBudgetCtx(ctx context.Context, p *Problem, opt Options) (int, *Result, error) {
-	return criticalBudget(p, opt, runEnv{ctx: ctx})
-}
-
-func criticalBudget(p *Problem, opt Options, env runEnv) (int, *Result, error) {
-	res, err := sgbGreedy(p, int(^uint(0)>>1), opt, env)
+func criticalBudget(p *Problem, opt options, env runEnv) (int, *Result, error) {
+	res, err := sgbGreedy(p, maxBudget, opt, env)
 	if err != nil {
 		return 0, nil, err
 	}

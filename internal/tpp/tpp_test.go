@@ -77,7 +77,7 @@ func TestFig2InitialSimilarity(t *testing.T) {
 func TestFig2WorkedExampleSGB(t *testing.T) {
 	p, edges := fig2Problem(t)
 	for _, opt := range allOptions() {
-		res, err := SGBGreedy(p, 2, opt)
+		res, err := sgbGreedy(p, 2, opt, runEnv{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestFig2WorkedExampleCT(t *testing.T) {
 	p, edges := fig2Problem(t)
 	budgets := fig2Budgets(p, edges)
 	for _, opt := range allOptions() {
-		res, err := CTGreedy(p, budgets, opt)
+		res, err := ctGreedy(p, budgets, opt, runEnv{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestFig2WorkedExampleWT(t *testing.T) {
 	p, edges := fig2Problem(t)
 	budgets := fig2Budgets(p, edges)
 	for _, opt := range allOptions() {
-		res, err := WTGreedy(p, budgets, opt)
+		res, err := wtGreedy(p, budgets, opt, runEnv{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,22 +138,21 @@ func TestFig2WorkedExampleWT(t *testing.T) {
 func TestFig2MethodOrdering(t *testing.T) {
 	p, edges := fig2Problem(t)
 	budgets := fig2Budgets(p, edges)
-	opt := Options{Engine: EngineIndexed}
-	sgb, _ := SGBGreedy(p, 2, opt)
-	ct, _ := CTGreedy(p, budgets, opt)
-	wt, _ := WTGreedy(p, budgets, opt)
+	opt := options{Engine: EngineIndexed}
+	sgb, _ := sgbGreedy(p, 2, opt, runEnv{})
+	ct, _ := ctGreedy(p, budgets, opt, runEnv{})
+	wt, _ := wtGreedy(p, budgets, opt, runEnv{})
 	if !(sgb.Dissimilarity() >= ct.Dissimilarity() && ct.Dissimilarity() >= wt.Dissimilarity()) {
 		t.Fatalf("ordering violated: SGB=%d CT=%d WT=%d",
 			sgb.Dissimilarity(), ct.Dissimilarity(), wt.Dissimilarity())
 	}
 }
 
-func allOptions() []Options {
-	return []Options{
+func allOptions() []options {
+	return []options{
 		{Engine: EngineRecount, Scope: ScopeAllEdges},
 		{Engine: EngineRecount, Scope: ScopeTargetSubgraphs},
 		{Engine: EngineIndexed},
-		{Engine: EngineLazy},
 	}
 }
 
@@ -195,14 +194,14 @@ func TestPhase1RemovesAllTargets(t *testing.T) {
 
 func TestSGBNegativeBudget(t *testing.T) {
 	p, _ := fig2Problem(t)
-	if _, err := SGBGreedy(p, -1, Options{}); err == nil {
+	if _, err := sgbGreedy(p, -1, options{}, runEnv{}); err == nil {
 		t.Fatal("negative budget accepted")
 	}
 }
 
 func TestSGBZeroBudget(t *testing.T) {
 	p, _ := fig2Problem(t)
-	res, err := SGBGreedy(p, 0, Options{Engine: EngineIndexed})
+	res, err := sgbGreedy(p, 0, options{Engine: EngineIndexed}, runEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +221,7 @@ func TestSGBStopsWhenNoGain(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, opt := range allOptions() {
-		res, err := SGBGreedy(p, 5, opt)
+		res, err := sgbGreedy(p, 5, opt, runEnv{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +233,7 @@ func TestSGBStopsWhenNoGain(t *testing.T) {
 
 func TestCriticalBudgetFullProtection(t *testing.T) {
 	p, _ := fig2Problem(t)
-	kstar, res, err := CriticalBudget(p, Options{Engine: EngineIndexed})
+	kstar, res, err := criticalBudget(p, options{Engine: EngineIndexed}, runEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,12 +252,12 @@ func TestCriticalBudgetFullProtection(t *testing.T) {
 
 func TestValidateBudgets(t *testing.T) {
 	p, _ := fig2Problem(t)
-	if _, err := CTGreedy(p, []int{1, 2}, Options{Engine: EngineIndexed}); err == nil {
+	if _, err := ctGreedy(p, []int{1, 2}, options{Engine: EngineIndexed}, runEnv{}); err == nil {
 		t.Fatal("budget length mismatch accepted")
 	}
 	bad := make([]int, len(p.Targets))
 	bad[0] = -1
-	if _, err := WTGreedy(p, bad, Options{Engine: EngineIndexed}); err == nil {
+	if _, err := wtGreedy(p, bad, options{Engine: EngineIndexed}, runEnv{}); err == nil {
 		t.Fatal("negative sub budget accepted")
 	}
 }
@@ -278,7 +277,7 @@ func TestPropertyEngineEquivalence(t *testing.T) {
 			}
 			var base *Result
 			for _, opt := range allOptions() {
-				res, err := SGBGreedy(p, 4, opt)
+				res, err := sgbGreedy(p, 4, opt, runEnv{})
 				if err != nil {
 					return false
 				}
@@ -317,14 +316,11 @@ func TestPropertyEngineEquivalenceCTWT(t *testing.T) {
 		}
 		var ctBase, wtBase *Result
 		for _, opt := range allOptions() {
-			if opt.Engine == EngineLazy {
-				continue // lazy applies to SGB only
-			}
-			ct, err := CTGreedy(p, budgets, opt)
+			ct, err := ctGreedy(p, budgets, opt, runEnv{})
 			if err != nil {
 				return false
 			}
-			wt, err := WTGreedy(p, budgets, opt)
+			wt, err := wtGreedy(p, budgets, opt, runEnv{})
 			if err != nil {
 				return false
 			}
@@ -450,7 +446,7 @@ func TestPropertyGreedyApproximationBound(t *testing.T) {
 			return true // candidate set too large for brute force: skip
 		}
 		_ = opt
-		res, err := SGBGreedy(p, k, Options{Engine: EngineIndexed})
+		res, err := sgbGreedy(p, k, options{Engine: EngineIndexed}, runEnv{})
 		if err != nil {
 			return false
 		}
@@ -476,7 +472,7 @@ func TestPropertyGreedyStrictProgress(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := SGBGreedy(p, 6, Options{Engine: EngineLazy})
+		res, err := sgbGreedy(p, 6, options{Engine: EngineIndexed}, runEnv{})
 		if err != nil {
 			return false
 		}
@@ -625,7 +621,7 @@ func TestMethodOrderingOnAverage(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := 10
-		sgb, err := SGBGreedy(p, k, Options{Engine: EngineLazy})
+		sgb, err := sgbGreedy(p, k, options{Engine: EngineIndexed}, runEnv{})
 		if err != nil {
 			t.Fatal(err)
 		}

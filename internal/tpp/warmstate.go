@@ -204,23 +204,13 @@ func (ws *warmState) resolve(in *graph.Interner) {
 	ws.resolved = true
 }
 
-// warmLabel is the method name a cold run under the same options would
-// produce; warm results must be bit-identical including the label.
-func warmLabel(opt Options) string {
-	name := opt.VariantName("SGB-Greedy")
-	if opt.Engine == EngineLazy {
-		name += ":lazy"
-	}
-	return name
-}
-
 // sgbSession is the session-level SGB dispatch: it serves the run from the
 // warm-start engine when a usable snapshot exists, falls back to the cold
 // greedy otherwise, keeps the warm/cold/fallback counters, and re-snapshots
 // the session's warm state from whatever result it produced. Critical-budget
 // probes for the other methods run through here too (budget = maxBudget) —
 // they are SGB selections and warm-start like any other.
-func (pr *Protector) sgbSession(s *settings, opt Options, env runEnv, k int) (*Result, error) {
+func (pr *Protector) sgbSession(s *settings, opt options, env runEnv, k int) (*Result, error) {
 	if env.ix == nil {
 		// Recount engine: no index to maintain a snapshot against. Its wall
 		// time is dominated by per-step candidate recounting, so the span is
@@ -275,7 +265,7 @@ func (pr *Protector) sgbSession(s *settings, opt Options, env runEnv, k int) (*R
 // the same order, a cold run would make. hit reports whether the whole
 // remembered sequence verified (the counted warm-start case); either way the
 // result is bit-identical to a cold run's.
-func (pr *Protector) sgbWarm(opt Options, env runEnv, k int) (*Result, bool, error) {
+func (pr *Protector) sgbWarm(opt options, env runEnv, k int) (*Result, bool, error) {
 	ix := env.ix
 	in := ix.Interner()
 	ws := &pr.warm
@@ -284,7 +274,8 @@ func (pr *Protector) sgbWarm(opt Options, env runEnv, k int) (*Result, bool, err
 	}
 
 	start := time.Now()
-	res := newResult(warmLabel(opt), ix.TotalSimilarity())
+	// The cold run's label: warm results are bit-identical including it.
+	res := newResult(opt.variantName("SGB-Greedy"), ix.TotalSimilarity())
 
 	step, diverged := 0, false
 	for step < k && step < len(ws.ids) {

@@ -18,7 +18,7 @@ import (
 // With non-negative weights, f_w remains monotone and submodular — each
 // instance contributes a fixed non-negative weight and deletion can only
 // remove contributions — so weighted SGB greedy keeps the (1 − 1/e)
-// guarantee. With all weights 1 it coincides exactly with SGBGreedy (a
+// guarantee. With all weights 1 it coincides exactly with SGB-Greedy (a
 // property test enforces this).
 
 // WeightedResult extends Result with the weighted objective trace.
