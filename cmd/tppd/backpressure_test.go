@@ -3,7 +3,6 @@ package main
 import (
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"testing"
 	"time"
@@ -15,14 +14,12 @@ import (
 // queueing the request until its deadline — and recovers to normal service
 // the moment a slot frees.
 func TestBackpressure429(t *testing.T) {
-	srv := NewServer(2, 1<<20, 30*time.Second, 0, 0)
-	t.Cleanup(srv.Close)
-	srv.ConfigureBackpressure(50 * time.Millisecond)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
+	cfg := testConfig()
+	cfg.QueueWait = 50 * time.Millisecond
+	srv, ts := startTestServer(t, cfg)
 
 	// Occupy both selection slots, as two long-running selections would.
-	// NewServer is the single-shard configuration, so shard 0 is the whole
+	// testConfig is the single-shard configuration, so shard 0 is the whole
 	// work queue.
 	sh := srv.sessions.shards[0]
 	sh.sem <- struct{}{}
@@ -89,11 +86,9 @@ func TestBackpressure429(t *testing.T) {
 // queue-until-deadline behaviour — a briefly saturated server still serves
 // the request once a slot frees.
 func TestBackpressureZeroWaitQueues(t *testing.T) {
-	srv := NewServer(1, 1<<20, 30*time.Second, 0, 0)
-	t.Cleanup(srv.Close)
-	srv.ConfigureBackpressure(0)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
+	cfg := testConfig()
+	cfg.MaxConcurrent = 1
+	srv, ts := startTestServer(t, cfg)
 
 	sh := srv.sessions.shards[0]
 	sh.sem <- struct{}{} // saturate; the goroutine frees it mid-request

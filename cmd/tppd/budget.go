@@ -7,8 +7,8 @@ package main
 // Every shard tracks those bytes in LRU order against its slice of the
 // -mem-budget cap. When a shard runs over, the coldest sessions whose locks
 // can be taken without waiting are spilled to their durable snapshots
-// (discarded when durability is off — the same semantics as TTL eviction)
-// until the shard fits again. Create requests that would not fit even after
+// until the shard fits again (a budget requires -data-dir, so a spill never
+// discards state). Create requests that would not fit even after
 // spilling everything spillable are rejected with 429: admission control,
 // not an error — the client retries after Retry-After.
 //
@@ -92,9 +92,7 @@ func (s *Server) reclaimBudget(sh *sessionShard, need int64, exclude string) {
 			<-victim.slot
 			continue
 		}
-		if s.sessions.spill != nil {
-			s.sessions.spill(victim)
-		}
+		s.sessions.spill(victim)
 		s.sessions.remove(victim)
 		<-victim.slot
 		s.metrics.sessionsSpilled.Inc()

@@ -1,12 +1,13 @@
 package main
 
-// Startup configuration validation. Flags that silently accepted garbage
-// (negative waits, a memory budget too small to admit one session) now
-// fail fast with a clear error instead of producing a daemon that rejects
-// or hangs every request.
+// Server configuration and its validation. Flags that silently accepted
+// garbage (negative waits, a memory budget too small to admit one session,
+// a zero body cap) fail fast with a clear error instead of producing a
+// daemon that rejects, hangs or loses every request.
 
 import (
 	"fmt"
+	"log/slog"
 	"strconv"
 	"strings"
 	"time"
@@ -14,40 +15,61 @@ import (
 	"repro/internal/tpp"
 )
 
-// daemonConfig is the subset of the flag set that needs cross-field
-// validation before the server is built.
-type daemonConfig struct {
-	queueWait  time.Duration
-	sessionTTL time.Duration
-	walCompact int
-	shards     int
-	memBudget  int64 // total bytes across all shards; 0 = unlimited
+// Config is everything a session-tier server is built from. main fills it
+// from the flags; NewServer validates it, so a Config either yields a
+// serving daemon or a flag-named error. Zero values keep their flag
+// meanings, noted per field.
+type Config struct {
+	MaxConcurrent   int           // -max-concurrent: selection slots, divided across shards
+	MaxBody         int64         // -max-body: request body cap in bytes
+	RequestTimeout  time.Duration // -request-timeout: per-request selection cap (0 disables)
+	MaxDatasetScale int           // -max-dataset-scale: dataset node cap (0 selects defaultMaxScale)
+	SessionTTL      time.Duration // -session-ttl: idle eviction horizon (0 disables)
+	QueueWait       time.Duration // -queue-wait: 429 once no slot frees this fast (0 queues until the deadline)
+	Shards          int           // -shards: session shards
+	MemBudget       int64         // -mem-budget: resident session bytes across shards (0 unlimited)
+	DataDir         string        // -data-dir: session persistence (empty keeps sessions in memory)
+	WALSync         bool          // -wal-sync: fsync each WAL append before the ack
+	WALCompact      int           // -wal-compact: fold the WAL every N deltas (0 selects the default)
+	Logger          *slog.Logger  // request and server log (nil selects slog.Default())
+	SlowRequest     time.Duration // -slow-request: warn above this latency (0 disables)
 }
 
-// validateConfig rejects flag combinations that cannot serve: negative
-// durations and counts, and a -mem-budget so small a shard could not admit
-// even one empty session (every create would 429 forever).
-func validateConfig(cfg daemonConfig) error {
-	if cfg.queueWait < 0 {
-		return fmt.Errorf("-queue-wait %s is negative; use 0 to queue until the request deadline", cfg.queueWait)
+// validateConfig rejects configurations that cannot serve: non-positive
+// slot and body caps, negative durations and counts, and a -mem-budget that
+// either has nowhere to spill (no -data-dir: live sessions would be
+// discarded) or is so small a shard could not admit even one empty session
+// (every create would 429 forever).
+func validateConfig(cfg Config) error {
+	if cfg.MaxConcurrent < 1 {
+		return fmt.Errorf("-max-concurrent %d; need at least 1", cfg.MaxConcurrent)
 	}
-	if cfg.sessionTTL < 0 {
-		return fmt.Errorf("-session-ttl %s is negative; use 0 to disable idle eviction", cfg.sessionTTL)
+	if cfg.MaxBody < 1 {
+		return fmt.Errorf("-max-body %d; need at least 1 byte or every request body is too large", cfg.MaxBody)
 	}
-	if cfg.walCompact < 0 {
-		return fmt.Errorf("-wal-compact %d is negative; use 0 for the default threshold", cfg.walCompact)
+	if cfg.QueueWait < 0 {
+		return fmt.Errorf("-queue-wait %s is negative; use 0 to queue until the request deadline", cfg.QueueWait)
 	}
-	if cfg.shards < 1 {
-		return fmt.Errorf("-shards %d; need at least 1", cfg.shards)
+	if cfg.SessionTTL < 0 {
+		return fmt.Errorf("-session-ttl %s is negative; use 0 to disable idle eviction", cfg.SessionTTL)
 	}
-	if cfg.memBudget < 0 {
-		return fmt.Errorf("-mem-budget %d is negative; use 0 to disable the budget", cfg.memBudget)
+	if cfg.WALCompact < 0 {
+		return fmt.Errorf("-wal-compact %d is negative; use 0 for the default threshold", cfg.WALCompact)
 	}
-	if cfg.memBudget > 0 {
-		min := tpp.MinSessionBytes * int64(cfg.shards)
-		if cfg.memBudget < min {
+	if cfg.Shards < 1 {
+		return fmt.Errorf("-shards %d; need at least 1", cfg.Shards)
+	}
+	if cfg.MemBudget < 0 {
+		return fmt.Errorf("-mem-budget %d is negative; use 0 to disable the budget", cfg.MemBudget)
+	}
+	if cfg.MemBudget > 0 {
+		if cfg.DataDir == "" {
+			return fmt.Errorf("-mem-budget %d needs -data-dir: spilled sessions would be discarded, not persisted", cfg.MemBudget)
+		}
+		min := tpp.MinSessionBytes * int64(cfg.Shards)
+		if cfg.MemBudget < min {
 			return fmt.Errorf("-mem-budget %d is smaller than one empty session per shard (%d bytes for %d shards); every create would be rejected",
-				cfg.memBudget, min, cfg.shards)
+				cfg.MemBudget, min, cfg.Shards)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -9,29 +10,31 @@ import (
 )
 
 func TestValidateConfig(t *testing.T) {
-	valid := daemonConfig{
-		queueWait:  time.Second,
-		sessionTTL: 30 * time.Minute,
-		walCompact: 256,
-		shards:     4,
-		memBudget:  0,
-	}
+	valid := testConfig()
+	valid.QueueWait = time.Second
+	valid.SessionTTL = 30 * time.Minute
+	valid.WALCompact = 256
+	valid.Shards = 4
+	valid.DataDir = t.TempDir()
 	if err := validateConfig(valid); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 
 	cases := []struct {
 		name    string
-		mutate  func(*daemonConfig)
+		mutate  func(*Config)
 		wantSub string
 	}{
-		{"negative queue-wait", func(c *daemonConfig) { c.queueWait = -time.Second }, "-queue-wait"},
-		{"negative session-ttl", func(c *daemonConfig) { c.sessionTTL = -time.Minute }, "-session-ttl"},
-		{"negative wal-compact", func(c *daemonConfig) { c.walCompact = -1 }, "-wal-compact"},
-		{"zero shards", func(c *daemonConfig) { c.shards = 0 }, "-shards"},
-		{"negative mem-budget", func(c *daemonConfig) { c.memBudget = -1 }, "-mem-budget"},
-		{"mem-budget below one session", func(c *daemonConfig) { c.memBudget = tpp.MinSessionBytes - 1; c.shards = 1 }, "empty session"},
-		{"mem-budget below one session per shard", func(c *daemonConfig) { c.memBudget = tpp.MinSessionBytes * 2; c.shards = 4 }, "empty session"},
+		{"negative queue-wait", func(c *Config) { c.QueueWait = -time.Second }, "-queue-wait"},
+		{"negative session-ttl", func(c *Config) { c.SessionTTL = -time.Minute }, "-session-ttl"},
+		{"negative wal-compact", func(c *Config) { c.WALCompact = -1 }, "-wal-compact"},
+		{"zero shards", func(c *Config) { c.Shards = 0 }, "-shards"},
+		{"negative mem-budget", func(c *Config) { c.MemBudget = -1 }, "-mem-budget"},
+		{"mem-budget below one session", func(c *Config) { c.MemBudget = tpp.MinSessionBytes - 1; c.Shards = 1 }, "empty session"},
+		{"mem-budget below one session per shard", func(c *Config) { c.MemBudget = tpp.MinSessionBytes * 2; c.Shards = 4 }, "empty session"},
+		{"mem-budget without data-dir", func(c *Config) { c.MemBudget = 64 << 20; c.DataDir = "" }, "-mem-budget 67108864 needs -data-dir"},
+		{"zero max-body", func(c *Config) { c.MaxBody = 0 }, "-max-body"},
+		{"zero max-concurrent", func(c *Config) { c.MaxConcurrent = 0 }, "-max-concurrent"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -50,9 +53,36 @@ func TestValidateConfig(t *testing.T) {
 	// Disabled (0) budgets and TTLs stay valid, and a budget of exactly one
 	// empty session per shard is the floor, not an error.
 	edge := valid
-	edge.memBudget = tpp.MinSessionBytes * int64(edge.shards)
+	edge.MemBudget = tpp.MinSessionBytes * int64(edge.Shards)
 	if err := validateConfig(edge); err != nil {
 		t.Fatalf("budget at the per-shard floor rejected: %v", err)
+	}
+
+	// NewServer validates before it builds anything: the error comes back
+	// unchanged and no TTL janitor is left running behind it.
+	t.Run("NewServer rejects before building", func(t *testing.T) {
+		bad := valid
+		bad.Shards = 0
+		before := janitors()
+		srv, err := NewServer(bad)
+		if srv != nil || err == nil || err.Error() != validateConfig(bad).Error() {
+			t.Fatalf("NewServer(%+v) = %v, %v; want nil and the validation error", bad, srv, err)
+		}
+		if after := janitors(); after != before {
+			t.Fatalf("%d session janitors running after the rejected NewServer, %d before", after, before)
+		}
+	})
+}
+
+// janitors counts the session-store TTL janitor goroutines alive right now.
+func janitors() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "(*sessionStore).janitor(")
+		}
+		buf = make([]byte, 2*len(buf))
 	}
 }
 

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,8 +13,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/durable"
 )
 
 // TestCrashRecoveryChild is not a test of its own: TestCrashRecoverySmoke
@@ -27,17 +24,12 @@ func TestCrashRecoveryChild(t *testing.T) {
 	if dir == "" {
 		t.Skip("crash-recovery child; driven by TestCrashRecoverySmoke")
 	}
-	srv := NewServer(2, 1<<20, 30*time.Second, 0, 0)
-	store, err := durable.Open(dir, durable.Options{
-		SyncWrites:   true,
-		CompactEvery: 8, // small threshold so the kill also lands across compactions
-		Metrics:      srv.durableMetrics(),
-	})
+	cfg := testConfig()
+	cfg.DataDir = dir
+	cfg.WALSync = true
+	cfg.WALCompact = 8 // small threshold so the kill also lands across compactions
+	srv, err := NewServer(cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	srv.ConfigureDurability(store)
-	if _, _, err := srv.Rehydrate(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

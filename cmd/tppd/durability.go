@@ -15,7 +15,7 @@ package main
 //   - shutdown    sessionStore.close spills every session in sorted-id
 //     order (bounded per-session wait)
 //   - delete      removes the files with the session
-//   - boot        Rehydrate loads every persisted session: snapshot
+//   - boot        NewServer rehydrates every persisted session: snapshot
 //     decoded, WAL replayed, torn tails truncated; sessions that
 //     fail recovery are quarantined (renamed aside) and the
 //     server keeps serving without them
@@ -29,7 +29,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"strconv"
 	"time"
 
@@ -38,39 +37,17 @@ import (
 	"repro/internal/tpp"
 )
 
-// ConfigureDurability attaches the persistence layer: new sessions are
-// snapshotted at creation, committed deltas are WAL-appended before the
-// ack, TTL eviction and shutdown spill final snapshots instead of
-// discarding state, and an unknown session id is looked up on disk before
-// it 404s. Call before Handler and before Rehydrate.
-func (s *Server) ConfigureDurability(store *durable.Store) {
-	s.store = store
-	s.sessions.spill = s.spillSession
-	s.sessions.wedged = func(id string) {
-		s.serverLogger().Error("tppd: session wedged at shutdown; its last durable snapshot survives, its in-memory tail does not",
-			"session", id)
-	}
-}
-
-// Rehydrate loads every persisted session back into memory. Sessions that
-// fail recovery — corrupt snapshot, corrupt WAL, replay divergence — are
-// quarantined and counted, never fatal: the server boots with what it can
-// prove correct. Call once, after ConfigureDurability and before the
-// listener starts.
-func (s *Server) Rehydrate(ctx context.Context) (restored, quarantined int, err error) {
-	if s.store == nil {
-		return 0, 0, fmt.Errorf("tppd: Rehydrate before ConfigureDurability")
-	}
+// rehydrate loads every persisted session back into memory at boot.
+// Sessions that fail recovery — corrupt snapshot, corrupt WAL, replay
+// divergence — are quarantined and counted, never fatal: the server boots
+// with what it can prove correct. Only an unreadable data dir is an error.
+func (s *Server) rehydrate(ctx context.Context) error {
 	ids, err := s.store.IDs()
 	if err != nil {
-		return 0, 0, fmt.Errorf("tppd: scanning data dir: %w", err)
+		return fmt.Errorf("scanning -data-dir: %w", err)
 	}
 	for _, id := range ids {
-		rec, lerr := s.loadSession(ctx, id)
-		if lerr != nil {
-			quarantined++
-			continue
-		}
+		rec, _ := s.loadSession(ctx, id) // failures are quarantined and counted by loadSession
 		if rec == nil {
 			continue
 		}
@@ -81,9 +58,8 @@ func (s *Server) Rehydrate(ctx context.Context) (restored, quarantined int, err 
 		bytes := sessionFootprint(rec)
 		s.sessions.publish(rec)
 		s.accountSession(rec, bytes)
-		restored++
 	}
-	return restored, quarantined, nil
+	return nil
 }
 
 // getSession is the durability-aware replacement for sessionStore.acquire:
@@ -241,19 +217,19 @@ func (s *Server) spillSession(rec *sessionRecord) {
 		err = rec.durable.Snapshot(snap)
 	}
 	if err != nil {
-		s.serverLogger().Error("tppd: spilling session snapshot", "session", rec.id, "error", err)
+		s.logger.Error("tppd: spilling session snapshot", "session", rec.id, "error", err)
 	}
 	if err := rec.durable.Close(); err != nil {
-		s.serverLogger().Error("tppd: closing session WAL", "session", rec.id, "error", err)
+		s.logger.Error("tppd: closing session WAL", "session", rec.id, "error", err)
 	}
 	rec.durable = nil
 }
 
 // quarantineSession renames a damaged session's files aside and logs why.
 func (s *Server) quarantineSession(id string, cause error) {
-	s.serverLogger().Error("tppd: quarantining session", "session", id, "error", cause)
+	s.logger.Error("tppd: quarantining session", "session", id, "error", cause)
 	if err := s.store.Quarantine(id); err != nil {
-		s.serverLogger().Error("tppd: quarantine failed", "session", id, "error", err)
+		s.logger.Error("tppd: quarantine failed", "session", id, "error", err)
 	}
 }
 
@@ -274,13 +250,4 @@ func labelingFrom(names []string, n int) *graph.Labeling {
 		lab.ToID[name] = graph.NodeID(i)
 	}
 	return lab
-}
-
-// serverLogger returns the configured request logger, or the process
-// default.
-func (s *Server) serverLogger() *slog.Logger {
-	if s.logger != nil {
-		return s.logger
-	}
-	return slog.Default()
 }

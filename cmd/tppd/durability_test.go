@@ -13,26 +13,22 @@ import (
 	"repro/internal/durable"
 )
 
-// newDurableTestServer starts a service persisting sessions into dir and
-// rehydrates whatever is already there, returning the rehydrated /
-// quarantined counts alongside the handles.
-func newDurableTestServer(t *testing.T, dir string, ttl time.Duration, opts durable.Options) (*Server, *httptest.Server, int, int) {
+// durableTestConfig is testConfig persisting sessions into dir, without
+// fsync-before-ack.
+func durableTestConfig(dir string) Config {
+	cfg := testConfig()
+	cfg.DataDir = dir
+	return cfg
+}
+
+// newDurableTestServer starts a service from cfg, which rehydrates whatever
+// is already in cfg.DataDir, returning the boot's rehydrated / quarantined
+// counts alongside the handles.
+func newDurableTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, int, int) {
 	t.Helper()
-	srv := NewServer(2, 1<<20, 30*time.Second, 0, ttl)
-	t.Cleanup(srv.Close)
-	opts.Metrics = srv.durableMetrics()
-	store, err := durable.Open(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.ConfigureDurability(store)
-	restored, quarantined, err := srv.Rehydrate(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return srv, ts, restored, quarantined
+	srv, ts := startTestServer(t, cfg)
+	st := srv.stats.snapshot()
+	return srv, ts, int(st.SessionsRehydrated), int(st.SessionsQuarantined)
 }
 
 func getStats(t *testing.T, ts *httptest.Server) statsResponse {
@@ -132,7 +128,7 @@ func driveSession(t *testing.T, ts *httptest.Server, id string) {
 func TestDurableRestartParity(t *testing.T) {
 	dir := t.TempDir()
 
-	srvA, tsA, restored, _ := newDurableTestServer(t, dir, 0, durable.Options{SyncWrites: false})
+	srvA, tsA, restored, _ := newDurableTestServer(t, durableTestConfig(dir))
 	if restored != 0 {
 		t.Fatalf("fresh dir rehydrated %d sessions", restored)
 	}
@@ -148,7 +144,7 @@ func TestDurableRestartParity(t *testing.T) {
 	ctl := createQuickstartSession(t, tsC)
 	driveSession(t, tsC, ctl)
 
-	srvB, tsB, restored, quarantined := newDurableTestServer(t, dir, 0, durable.Options{SyncWrites: false})
+	srvB, tsB, restored, quarantined := newDurableTestServer(t, durableTestConfig(dir))
 	if restored != 1 || quarantined != 0 {
 		t.Fatalf("restart rehydrated %d / quarantined %d, want 1 / 0", restored, quarantined)
 	}
@@ -186,7 +182,9 @@ func TestDurableRestartParity(t *testing.T) {
 // never sees the eviction.
 func TestDurableLazyRehydrate(t *testing.T) {
 	dir := t.TempDir()
-	srv, ts, _, _ := newDurableTestServer(t, dir, 50*time.Millisecond, durable.Options{SyncWrites: false})
+	cfg := durableTestConfig(dir)
+	cfg.SessionTTL = 50 * time.Millisecond
+	srv, ts, _, _ := newDurableTestServer(t, cfg)
 	id := createQuickstartSession(t, ts)
 	first := mustProtect(t, ts, id, "protect before eviction")
 
@@ -234,7 +232,7 @@ func TestDurableLazyRehydrate(t *testing.T) {
 // a deleted session must not resurrect on restart.
 func TestDurableDeleteRemovesFiles(t *testing.T) {
 	dir := t.TempDir()
-	srv, ts, _, _ := newDurableTestServer(t, dir, 0, durable.Options{SyncWrites: false})
+	srv, ts, _, _ := newDurableTestServer(t, durableTestConfig(dir))
 	id := createQuickstartSession(t, ts)
 	mustDelta(t, ts, id, deltaRequest{Insert: [][2]string{{"1", "7"}}}, "delta")
 	if !srv.store.Exists(id) {
@@ -253,7 +251,7 @@ func TestDurableDeleteRemovesFiles(t *testing.T) {
 		t.Fatalf("get after delete: status %d, want 404", resp.StatusCode)
 	}
 	srv.Close()
-	_, _, restored, _ := newDurableTestServer(t, dir, 0, durable.Options{SyncWrites: false})
+	_, _, restored, _ := newDurableTestServer(t, durableTestConfig(dir))
 	if restored != 0 {
 		t.Fatalf("deleted session resurrected: %d rehydrated", restored)
 	}
@@ -264,7 +262,7 @@ func TestDurableDeleteRemovesFiles(t *testing.T) {
 // else keeps serving.
 func TestDurableQuarantineOnCorrupt(t *testing.T) {
 	dir := t.TempDir()
-	srvA, tsA, _, _ := newDurableTestServer(t, dir, 0, durable.Options{SyncWrites: false})
+	srvA, tsA, _, _ := newDurableTestServer(t, durableTestConfig(dir))
 	sick := createQuickstartSession(t, tsA)
 	healthy := createQuickstartSession(t, tsA)
 	tsA.Close()
@@ -279,7 +277,7 @@ func TestDurableQuarantineOnCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srvB, tsB, restored, quarantined := newDurableTestServer(t, dir, 0, durable.Options{SyncWrites: false})
+	srvB, tsB, restored, quarantined := newDurableTestServer(t, durableTestConfig(dir))
 	if restored != 1 || quarantined != 1 {
 		t.Fatalf("rehydrated %d / quarantined %d, want 1 / 1", restored, quarantined)
 	}
@@ -307,7 +305,9 @@ func TestDurableQuarantineOnCorrupt(t *testing.T) {
 // the configured threshold, and recovery afterwards replays only the tail.
 func TestDurableCompactionThreshold(t *testing.T) {
 	dir := t.TempDir()
-	srv, ts, _, _ := newDurableTestServer(t, dir, 0, durable.Options{SyncWrites: false, CompactEvery: 2})
+	cfg := durableTestConfig(dir)
+	cfg.WALCompact = 2
+	srv, ts, _, _ := newDurableTestServer(t, cfg)
 	id := createQuickstartSession(t, ts)
 	mustDelta(t, ts, id, deltaRequest{Insert: [][2]string{{"1", "7"}}}, "delta 1")
 	mustDelta(t, ts, id, deltaRequest{Insert: [][2]string{{"3", "5"}}}, "delta 2") // triggers compaction
@@ -350,7 +350,9 @@ func TestDurableCompactionThreshold(t *testing.T) {
 // stats surface account for every append.
 func TestDurableWALFsyncStats(t *testing.T) {
 	dir := t.TempDir()
-	srv, ts, _, _ := newDurableTestServer(t, dir, 0, durable.Options{SyncWrites: true})
+	cfg := durableTestConfig(dir)
+	cfg.WALSync = true
+	srv, ts, _, _ := newDurableTestServer(t, cfg)
 	id := createQuickstartSession(t, ts)
 	mustDelta(t, ts, id, deltaRequest{Insert: [][2]string{{"1", "7"}}}, "delta")
 	if got := srv.metrics.walFsync.Count(); got != 1 {
@@ -367,7 +369,7 @@ func TestDurableWALFsyncStats(t *testing.T) {
 // spill.
 func TestShutdownWedgedSession(t *testing.T) {
 	dir := t.TempDir()
-	srv, ts, _, _ := newDurableTestServer(t, dir, 0, durable.Options{SyncWrites: false})
+	srv, ts, _, _ := newDurableTestServer(t, durableTestConfig(dir))
 	wedgedID := createQuickstartSession(t, ts)
 	okID := createQuickstartSession(t, ts)
 	srv.sessions.closeTimeout = 100 * time.Millisecond
@@ -401,7 +403,7 @@ func TestShutdownWedgedSession(t *testing.T) {
 	// A later restart serves the healthy session from its shutdown spill and
 	// the wedged one from its last snapshot (creation-time here).
 	ts.Close()
-	_, tsB, restored, quarantined := newDurableTestServer(t, dir, 0, durable.Options{SyncWrites: false})
+	_, tsB, restored, quarantined := newDurableTestServer(t, durableTestConfig(dir))
 	if restored != 2 || quarantined != 0 {
 		t.Fatalf("restart rehydrated %d / quarantined %d, want 2 / 0", restored, quarantined)
 	}

@@ -89,8 +89,6 @@ import (
 	"runtime"
 	"syscall"
 	"time"
-
-	"repro/internal/durable"
 )
 
 func main() {
@@ -102,7 +100,7 @@ func main() {
 		maxScale      = flag.Int("max-dataset-scale", defaultMaxScale, "max node count for server-side dataset graphs")
 		sessionTTL    = flag.Duration("session-ttl", 30*time.Minute, "evict named sessions idle for longer (0 disables)")
 		shards        = flag.Int("shards", runtime.GOMAXPROCS(0), "session shards: independent session maps, work queues and memory budgets (1 = the single-lock tier)")
-		memBudget     = flag.String("mem-budget", "0", "total resident session memory budget in bytes, k/m/g suffix allowed; cold sessions spill to -data-dir snapshots (0 disables)")
+		memBudget     = flag.String("mem-budget", "0", "total resident session memory budget in bytes, k/m/g suffix allowed; cold sessions spill to -data-dir snapshots, so it requires -data-dir (0 disables)")
 		dataDir       = flag.String("data-dir", "", "persist sessions here (snapshot + delta WAL per session, rehydrated on boot); empty disables durability")
 		walSync       = flag.Bool("wal-sync", true, "fsync each WAL append before acking the delta")
 		walCompact    = flag.Int("wal-compact", 256, "fold a session's WAL into a fresh snapshot every N deltas")
@@ -130,38 +128,28 @@ func main() {
 	if err != nil {
 		log.Fatalf("tppd: -mem-budget: %v", err)
 	}
-	if err := validateConfig(daemonConfig{
-		queueWait:  *queueWait,
-		sessionTTL: *sessionTTL,
-		walCompact: *walCompact,
-		shards:     *shards,
-		memBudget:  budgetBytes,
-	}); err != nil {
-		log.Fatalf("tppd: %v", err)
-	}
-
-	service := NewServer(*maxConcurrent, *maxBody, *reqTimeout, *maxScale, *sessionTTL)
-	service.ConfigureLogging(logger, *slowReq)
-	service.ConfigureBackpressure(*queueWait)
-	if err := service.ConfigureSharding(*shards, budgetBytes); err != nil {
+	service, err := NewServer(Config{
+		MaxConcurrent:   *maxConcurrent,
+		MaxBody:         *maxBody,
+		RequestTimeout:  *reqTimeout,
+		MaxDatasetScale: *maxScale,
+		SessionTTL:      *sessionTTL,
+		QueueWait:       *queueWait,
+		Shards:          *shards,
+		MemBudget:       budgetBytes,
+		DataDir:         *dataDir,
+		WALSync:         *walSync,
+		WALCompact:      *walCompact,
+		Logger:          logger,
+		SlowRequest:     *slowReq,
+	})
+	if err != nil {
 		log.Fatalf("tppd: %v", err)
 	}
 	if *dataDir != "" {
-		store, err := durable.Open(*dataDir, durable.Options{
-			SyncWrites:   *walSync,
-			CompactEvery: *walCompact,
-			Metrics:      service.durableMetrics(),
-		})
-		if err != nil {
-			log.Fatalf("tppd: opening -data-dir: %v", err)
-		}
-		service.ConfigureDurability(store)
-		restored, quarantined, err := service.Rehydrate(context.Background())
-		if err != nil {
-			log.Fatalf("tppd: rehydrating sessions: %v", err)
-		}
+		st := service.stats.snapshot()
 		log.Printf("tppd: durability on (%s): %d sessions rehydrated, %d quarantined",
-			*dataDir, restored, quarantined)
+			*dataDir, st.SessionsRehydrated, st.SessionsQuarantined)
 	}
 
 	if *pprofAddr != "" {

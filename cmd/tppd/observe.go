@@ -98,9 +98,9 @@ type serverMetrics struct {
 	warmFallbacks *telemetry.Counter
 
 	// Durability instruments. The WAL/snapshot ones are fed by
-	// internal/durable (wired through durableMetrics); the rehydration
-	// counter by the server's recovery path, the quarantine counter by
-	// Store.Quarantine.
+	// internal/durable (NewServer opens the store with durableMetrics); the
+	// rehydration counter by the server's recovery path, the quarantine
+	// counter by Store.Quarantine.
 	walAppends          *telemetry.Counter
 	walFsync            *telemetry.Histogram
 	snapshotBytes       *telemetry.Histogram
@@ -110,7 +110,7 @@ type serverMetrics struct {
 	busyRejections *telemetry.Counter // 429s from an exhausted queue-wait budget
 
 	// Sharded-tier aggregates (the per-shard tpp_shard_* series are
-	// registered by ConfigureSharding): LRU spills driven by the memory
+	// registered by NewServer): LRU spills driven by the memory
 	// budget, and creates rejected by admission control.
 	sessionsSpilled *telemetry.Counter
 	memRejections   *telemetry.Counter
@@ -190,7 +190,7 @@ func newServerMetrics(reg *telemetry.Registry, sessionsOpen, slotsInUse, slotsLi
 	m.busyRejections = reg.Counter("tppd_busy_rejections_total",
 		"Requests answered 429 because no selection slot freed within the queue-wait budget.")
 	m.sessionsSpilled = reg.Counter("tppd_sessions_spilled_total",
-		"Cold sessions spilled to their durable snapshots (or discarded) by the memory budget.")
+		"Cold sessions spilled to their durable snapshots by the memory budget.")
 	m.memRejections = reg.Counter("tppd_mem_rejections_total",
 		"Session creates answered 429 because the shard's memory budget could not admit them.")
 
@@ -344,16 +344,16 @@ func newIDPrefix() string {
 // structured request log. It runs outside the mux, so the matched pattern
 // is resolved with mux.Handler — the pattern the mux stamps on the request
 // lands on the mux's own shallow copy, never on this r.
-func (s *Server) instrument(next http.Handler) http.Handler {
+func (s *Server) instrument(mux *http.ServeMux) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		_, pattern := s.mux.Handler(r)
+		_, pattern := mux.Handler(r)
 		sc := &reqScope{id: s.nextRequestID()}
 		sp := telemetry.NewStages(s.metrics.stages)
 		ctx := telemetry.NewContext(r.Context(), sp)
 		ctx = context.WithValue(ctx, scopeKey{}, sc)
 		sw := &statusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r.WithContext(ctx))
+		mux.ServeHTTP(sw, r.WithContext(ctx))
 		elapsed := time.Since(start)
 
 		ri := s.metrics.route(pattern)
@@ -377,11 +377,7 @@ func (s *Server) logRequest(r *http.Request, pattern string, sc *reqScope, sw *s
 	case slow:
 		level = slog.LevelWarn
 	}
-	logger := s.logger
-	if logger == nil {
-		logger = slog.Default()
-	}
-	if !logger.Enabled(r.Context(), level) {
+	if !s.logger.Enabled(r.Context(), level) {
 		return
 	}
 	if pattern == "" {
@@ -415,7 +411,7 @@ func (s *Server) logRequest(r *http.Request, pattern string, sc *reqScope, sw *s
 	if slow {
 		msg = "slow request"
 	}
-	logger.LogAttrs(r.Context(), level, msg, attrs...)
+	s.logger.LogAttrs(r.Context(), level, msg, attrs...)
 }
 
 // stageBreakdown renders the request's per-stage timing as log attributes,

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -16,9 +17,7 @@ import (
 // while serving and 503 once a drain begins, while the legacy /healthz
 // liveness probe stays 200 throughout.
 func TestHealthzDrainFlip(t *testing.T) {
-	srv := NewServer(2, 1<<20, 30*time.Second, 0, 0)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	srv, ts := startTestServer(t, testConfig())
 
 	get := func(path string) (int, string) {
 		t.Helper()
@@ -51,6 +50,43 @@ func TestHealthzDrainFlip(t *testing.T) {
 	if code, _ := get("/v1/healthz"); code != http.StatusServiceUnavailable {
 		t.Fatalf("healthz after Close = %d, want 503", code)
 	}
+}
+
+// TestHandlerStableUnderTraffic calls Handler again while the first handler
+// serves requests. The route table is built once, so the later calls must
+// not write anything the instrument middleware reads; run under -race.
+func TestHandlerStableUnderTraffic(t *testing.T) {
+	srv, ts := startTestServer(t, testConfig())
+	flowing := make(chan struct{}) // closed once the first handler has answered
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 100; i++ {
+			resp, err := http.Get(ts.URL + "/v1/healthz")
+			if i == 0 {
+				close(flowing)
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("healthz during Handler calls = %d, want 200", resp.StatusCode)
+			}
+		}
+	}()
+	<-flowing
+	for i := 0; i < 2; i++ {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+		if rec.Code != http.StatusOK {
+			t.Errorf("Handler call %d answered /healthz with %d, want 200", i+2, rec.Code)
+		}
+	}
+	wg.Wait()
 }
 
 // TestMetricsEndpoint scrapes /metrics after real traffic and checks the
@@ -129,9 +165,10 @@ func TestMetricsEndpoint(t *testing.T) {
 // and checks the structured request log carries the documented fields,
 // including the session id and the per-stage timing breakdown.
 func TestRequestLogFields(t *testing.T) {
-	srv, ts := newSessionTestServer(t, 0)
 	var buf bytes.Buffer
-	srv.ConfigureLogging(slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug})), 0)
+	cfg := testConfig()
+	cfg.Logger = slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
+	_, ts := startTestServer(t, cfg)
 
 	id := createQuickstartSession(t, ts)
 	if resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+id+"/protect",
@@ -204,9 +241,11 @@ func TestRequestLogFields(t *testing.T) {
 // request counts as slow and checks the promotion to Warn with the "slow
 // request" message — visible under the default Info level.
 func TestSlowRequestPromotedToWarn(t *testing.T) {
-	srv, ts := newSessionTestServer(t, 0)
 	var buf bytes.Buffer
-	srv.ConfigureLogging(slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelInfo})), time.Nanosecond)
+	cfg := testConfig()
+	cfg.Logger = slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelInfo}))
+	cfg.SlowRequest = time.Nanosecond
+	_, ts := startTestServer(t, cfg)
 
 	if resp, body := postProtect(t, ts, protectRequest{
 		Edges:   quickstartEdges,

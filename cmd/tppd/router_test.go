@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 )
 
 // newRouterFixture spins n live backends and a router over them, health
@@ -18,10 +17,7 @@ func newRouterFixture(t *testing.T, n int) (*router, *httptest.Server, []*httpte
 	backends := make([]*httptest.Server, n)
 	urls := make([]string, n)
 	for i := range backends {
-		srv := NewServer(2, 1<<20, 30*time.Second, 0, 0)
-		t.Cleanup(srv.Close)
-		ts := httptest.NewServer(srv.Handler())
-		t.Cleanup(ts.Close)
+		_, ts := startTestServer(t, testConfig())
 		backends[i] = ts
 		urls[i] = ts.URL
 	}

@@ -10,30 +10,17 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/durable"
 )
 
 // newShardedDurableServer starts a durable service partitioned into the
 // given shard count under the given total memory budget.
 func newShardedDurableServer(t *testing.T, dir string, shards int, memBudget int64) (*Server, *httptest.Server) {
 	t.Helper()
-	srv := NewServer(4, 1<<20, 30*time.Second, 0, 0)
-	t.Cleanup(srv.Close)
-	if err := srv.ConfigureSharding(shards, memBudget); err != nil {
-		t.Fatal(err)
-	}
-	store, err := durable.Open(dir, durable.Options{SyncWrites: false, Metrics: srv.durableMetrics()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.ConfigureDurability(store)
-	if _, _, err := srv.Rehydrate(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return srv, ts
+	cfg := durableTestConfig(dir)
+	cfg.MaxConcurrent = 4
+	cfg.Shards = shards
+	cfg.MemBudget = memBudget
+	return startTestServer(t, cfg)
 }
 
 // measureSessionFootprint reports the tracked byte footprint of one

@@ -36,24 +36,21 @@ import (
 // through context into the tpp pipeline, and emits the structured request
 // log. The same registry backs GET /metrics and GET /v1/stats.
 type Server struct {
-	maxBody       int64
-	maxTimeout    time.Duration // server-side cap on per-request selection time
-	maxScale      int           // cap on dataset graph size a client may request
-	maxConcurrent int           // total selection slots, divided across shards
-	sessionTTL    time.Duration // idle eviction horizon for named sessions
-	queueWait     time.Duration // 429 once no slot frees within this (0 = queue to deadline)
-	sessions      *sessionStore // long-lived named sessions, sharded (TTL-evicted)
-	shardSeries   bool          // per-shard metric series registered (ConfigureSharding ran)
+	maxBody    int64
+	maxTimeout time.Duration // server-side cap on per-request selection time
+	maxScale   int           // cap on dataset graph size a client may request
+	queueWait  time.Duration // 429 once no slot frees within this (0 = queue to deadline)
+	sessions   *sessionStore // long-lived named sessions, sharded (TTL-evicted)
 
 	store  *durable.Store // session persistence; nil = in-memory only
 	loadMu sync.Mutex     // serialises lazy on-miss rehydration from disk
 
-	mux      *http.ServeMux
+	handler  http.Handler // route table inside the instrument middleware
 	registry *telemetry.Registry
 	metrics  *serverMetrics
 	stats    serverStats // façade deriving /v1/stats from metrics
 
-	logger   *slog.Logger  // request logger; nil means slog.Default()
+	logger   *slog.Logger
 	slowReq  time.Duration // log requests slower than this at Warn (0 disables)
 	draining atomic.Bool   // readiness: /v1/healthz answers 503 once set
 	idPrefix string        // startup entropy for request ids
@@ -65,28 +62,31 @@ type Server struct {
 // allocating an arbitrarily large graph.
 const defaultMaxScale = 1 << 20
 
-// NewServer configures a service instance. maxConcurrent bounds how many
-// selections run at once (<=0 means 1); maxBody bounds the request body in
-// bytes; maxTimeout caps the per-request deadline a client may ask for;
-// maxScale caps the node count of server-side dataset graphs (<=0 selects
-// defaultMaxScale); sessionTTL evicts named sessions idle for longer
-// (<=0 disables eviction). Call Close when done to stop the TTL janitor
-// and release the sessions.
-func NewServer(maxConcurrent int, maxBody int64, maxTimeout time.Duration, maxScale int, sessionTTL time.Duration) *Server {
-	if maxConcurrent <= 0 {
-		maxConcurrent = 1
-	}
-	if maxScale <= 0 {
-		maxScale = defaultMaxScale
+// NewServer validates cfg and builds the service from it: the metric
+// registry, the sharded session store (starting its TTL janitor), the
+// route table and, with cfg.DataDir set, the durable store, from which
+// every persisted session is rehydrated before NewServer returns. The boot
+// counts land in the sessions_rehydrated and sessions_quarantined stats.
+// Call Close when done to stop the janitor and release the sessions.
+func NewServer(cfg Config) (*Server, error) {
+	if err := validateConfig(cfg); err != nil {
+		return nil, err
 	}
 	s := &Server{
-		maxBody:       maxBody,
-		maxTimeout:    maxTimeout,
-		maxScale:      maxScale,
-		maxConcurrent: maxConcurrent,
-		sessionTTL:    sessionTTL,
-		registry:      telemetry.NewRegistry(),
-		idPrefix:      newIDPrefix(),
+		maxBody:    cfg.MaxBody,
+		maxTimeout: cfg.RequestTimeout,
+		maxScale:   cfg.MaxDatasetScale,
+		queueWait:  cfg.QueueWait,
+		registry:   telemetry.NewRegistry(),
+		logger:     cfg.Logger,
+		slowReq:    cfg.SlowRequest,
+		idPrefix:   newIDPrefix(),
+	}
+	if s.maxScale <= 0 {
+		s.maxScale = defaultMaxScale
+	}
+	if s.logger == nil {
+		s.logger = slog.Default()
 	}
 	s.metrics = newServerMetrics(s.registry,
 		func() float64 { return float64(s.sessions.open()) },
@@ -94,40 +94,20 @@ func NewServer(maxConcurrent int, maxBody int64, maxTimeout time.Duration, maxSc
 		func() float64 { return float64(s.sessions.slotsLimit()) },
 	)
 	s.stats = serverStats{m: s.metrics}
-	s.sessions = newSessionStore(sessionTTL, func(n int) { s.metrics.sessionsEvicted.Add(int64(n)) }, 1, maxConcurrent, 0)
-	return s
-}
-
-// ConfigureSharding partitions the session tier into shards independent
-// maps/locks/work-queues with memBudget resident bytes (0 = unlimited)
-// divided across them, and registers the per-shard metric series. NewServer
-// starts at one shard with no budget — the single-lock baseline — so only
-// deployments that want scale-out call this. Call at most once, before
-// ConfigureDurability and before any session exists.
-func (s *Server) ConfigureSharding(shards int, memBudget int64) error {
-	if shards <= 0 {
-		shards = 1
+	if cfg.DataDir != "" {
+		store, err := durable.Open(cfg.DataDir, durable.Options{
+			SyncWrites:   cfg.WALSync,
+			CompactEvery: cfg.WALCompact,
+			Metrics:      s.durableMetrics(),
+		})
+		if err != nil {
+			return nil, fmt.Errorf("opening -data-dir: %w", err)
+		}
+		s.store = store
 	}
-	if memBudget < 0 {
-		memBudget = 0
-	}
-	if s.shardSeries {
-		return fmt.Errorf("tppd: ConfigureSharding called twice")
-	}
-	if s.store != nil {
-		return fmt.Errorf("tppd: ConfigureSharding must run before ConfigureDurability")
-	}
-	if n := s.sessions.open(); n > 0 {
-		return fmt.Errorf("tppd: ConfigureSharding with %d sessions live", n)
-	}
-	s.shardSeries = true
-	old := s.sessions
-	s.sessions = newSessionStore(s.sessionTTL,
-		func(n int) { s.metrics.sessionsEvicted.Add(int64(n)) },
-		shards, s.maxConcurrent, memBudget)
-	old.close()
+	s.sessions = newSessionStore(cfg.SessionTTL, func(n int) { s.metrics.sessionsEvicted.Add(int64(n)) },
+		cfg.Shards, cfg.MaxConcurrent, cfg.MemBudget)
 	for _, sh := range s.sessions.shards {
-		sh := sh
 		lbl := telemetry.Label{Key: "shard", Value: strconv.Itoa(sh.idx)}
 		s.registry.GaugeFunc("tpp_shard_sessions", "Resident sessions per shard.",
 			func() float64 {
@@ -142,28 +122,19 @@ func (s *Server) ConfigureSharding(shards int, memBudget int64) error {
 		sh.spills = s.registry.Counter("tpp_shard_spills_total",
 			"Cold sessions spilled by the per-shard memory budget.", lbl)
 	}
-	return nil
-}
-
-// ConfigureLogging installs the structured request logger and the
-// slow-request threshold (requests slower than slow log at Warn with their
-// full stage breakdown; 0 disables the outlier log). Nil keeps
-// slog.Default(). Call before the first request.
-func (s *Server) ConfigureLogging(logger *slog.Logger, slow time.Duration) {
-	if logger != nil {
-		s.logger = logger
+	s.handler = s.routes()
+	if s.store != nil {
+		s.sessions.spill = s.spillSession
+		s.sessions.wedged = func(id string) {
+			s.logger.Error("tppd: session wedged at shutdown; its last durable snapshot survives, its in-memory tail does not",
+				"session", id)
+		}
+		if err := s.rehydrate(context.Background()); err != nil {
+			s.sessions.close()
+			return nil, err
+		}
 	}
-	s.slowReq = slow
-}
-
-// ConfigureBackpressure bounds how long a request may wait for a selection
-// slot: once every slot has stayed occupied for wait, the server answers
-// 429 with a Retry-After header instead of holding the request queued
-// until its deadline, so clients learn to back off while their deadline
-// budget is still intact. 0 keeps the queue-until-deadline behaviour.
-// Call before the first request.
-func (s *Server) ConfigureBackpressure(wait time.Duration) {
-	s.queueWait = wait
+	return s, nil
 }
 
 // errServerBusy reports that every selection slot on the shard stayed
@@ -281,10 +252,16 @@ func (s *Server) MetricsHandler() http.Handler {
 }
 
 // Handler returns the service's route table wrapped in the instrument
-// middleware. Adding a route here usually means adding its pattern to
-// routePatterns (observe.go) so it gets its own metric series instead of
-// the catch-all.
+// middleware. It is built once, in NewServer, so every call returns the
+// same handler.
 func (s *Server) Handler() http.Handler {
+	return s.handler
+}
+
+// routes builds the route table inside its instrument wrapper. Adding a
+// route here usually means adding its pattern to routePatterns (observe.go)
+// so it gets its own metric series instead of the catch-all.
+func (s *Server) routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/protect", s.handleProtect)
 	mux.HandleFunc("POST /v1/sessions", s.handleSessionCreate)
@@ -301,7 +278,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	s.mux = mux
 	return s.instrument(mux)
 }
 

@@ -15,10 +15,38 @@ import (
 	"repro/internal/tpp"
 )
 
+// testConfig is the base configuration every test server is built from:
+// two selection slots, 1 MiB bodies, a 30 s selection cap, one shard, no
+// TTL, no queue-wait and no durability. Tests override only the fields
+// they exercise.
+func testConfig() Config {
+	return Config{MaxConcurrent: 2, MaxBody: 1 << 20, RequestTimeout: 30 * time.Second, Shards: 1}
+}
+
+// mustNewServer builds a server from cfg and closes it at test cleanup.
+func mustNewServer(t *testing.T, cfg Config) *Server {
+	t.Helper()
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// startTestServer builds a server from cfg and serves it over httptest;
+// the listener closes at cleanup, before the server does.
+func startTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	srv := mustNewServer(t, cfg)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return srv, ts
+}
+
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	ts := httptest.NewServer(NewServer(2, 1<<20, 30*time.Second, 0, 0).Handler())
-	t.Cleanup(ts.Close)
+	_, ts := startTestServer(t, testConfig())
 	return ts
 }
 
@@ -224,7 +252,10 @@ func TestWriteRunErrorMapping(t *testing.T) {
 // positive client timeout_ms bounds the request even when the server-side
 // cap is disabled.
 func TestRequestContextHonorsClientTimeoutWithoutServerCap(t *testing.T) {
-	s := NewServer(1, 1<<20, 0, 0, 0) // cap disabled
+	cfg := testConfig()
+	cfg.MaxConcurrent = 1
+	cfg.RequestTimeout = 0 // cap disabled
+	s := mustNewServer(t, cfg)
 	ctx, cancel := s.requestContext(context.Background(), 5)
 	defer cancel()
 	if _, ok := ctx.Deadline(); !ok {
@@ -235,7 +266,8 @@ func TestRequestContextHonorsClientTimeoutWithoutServerCap(t *testing.T) {
 	if _, ok := ctx2.Deadline(); ok {
 		t.Fatal("deadline set although both cap and client timeout are unset")
 	}
-	s = NewServer(1, 1<<20, time.Millisecond, 0, 0) // cap below client ask
+	cfg.RequestTimeout = time.Millisecond // cap below client ask
+	s = mustNewServer(t, cfg)
 	ctx3, cancel3 := s.requestContext(context.Background(), 60_000)
 	defer cancel3()
 	if dl, ok := ctx3.Deadline(); !ok || time.Until(dl) > time.Second {

@@ -89,8 +89,8 @@ type sessionShard struct {
 	// budget tracks the shard's resident session bytes in LRU order. Always
 	// non-nil; a zero cap means accounting without enforcement.
 	budget *shard.Budget
-	// spills counts LRU spills on this shard; nil until ConfigureSharding
-	// registers the per-shard instruments (telemetry counters no-op on nil).
+	// spills counts LRU spills on this shard (the tpp_shard_spills_total
+	// series NewServer registers).
 	spills *telemetry.Counter
 }
 
@@ -153,29 +153,24 @@ type sessionStore struct {
 
 	// spill, when set, persists a session's final snapshot before eviction
 	// or shutdown removes it from memory; it is called with the record's
-	// slot held. Set by ConfigureDurability.
+	// slot held. NewServer sets it when -data-dir is on.
 	spill func(*sessionRecord)
 	// closeTimeout bounds how long close waits for any one session's slot
 	// (<=0 selects 5s); a wedged session is skipped, not waited on forever.
 	closeTimeout time.Duration
-	// wedged, when set, is told about sessions close gave up waiting for.
+	// wedged, when set, is told about sessions close gave up waiting for;
+	// NewServer sets it alongside spill.
 	wedged func(id string)
 
 	stop chan struct{}
 	done chan struct{}
 }
 
-// newSessionStore builds an nshards-way partitioned store. slots is the
-// total selection concurrency, divided evenly across shards (at least one
-// each); memBudget is the total resident-byte budget, likewise divided
-// (0 = unlimited).
+// newSessionStore builds an nshards-way partitioned store (nshards >= 1).
+// slots is the total selection concurrency (>= 1), divided evenly across
+// shards (at least one each); memBudget is the total resident-byte budget,
+// likewise divided (0 = unlimited).
 func newSessionStore(ttl time.Duration, evicted func(int), nshards, slots int, memBudget int64) *sessionStore {
-	if nshards <= 0 {
-		nshards = 1
-	}
-	if slots <= 0 {
-		slots = 1
-	}
 	members := make([]string, nshards)
 	for i := range members {
 		members[i] = "shard-" + strconv.Itoa(i)
@@ -630,7 +625,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if s.store != nil {
 		h, err := s.persistNewSession(ctx, rec)
 		if err != nil {
-			s.serverLogger().Error("tppd: persisting new session", "session", rec.id, "error", err)
+			s.logger.Error("tppd: persisting new session", "session", rec.id, "error", err)
 			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "persisting session: " + err.Error()})
 			return
 		}
@@ -722,7 +717,7 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	// blocks on the slot until the record is gone and the files are too.
 	if rec.durable != nil {
 		if err := rec.durable.Destroy(); err != nil {
-			s.serverLogger().Error("tppd: destroying session files", "session", rec.id, "error", err)
+			s.logger.Error("tppd: destroying session files", "session", rec.id, "error", err)
 		}
 		rec.durable = nil
 	}
@@ -800,7 +795,7 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	// commit was not made durable.
 	if rec.durable != nil {
 		if err := rec.durable.AppendDelta(d, req.AddNodes); err != nil {
-			s.serverLogger().Error("tppd: WAL append failed; session durability degraded",
+			s.logger.Error("tppd: WAL append failed; session durability degraded",
 				"session", rec.id, "error", err)
 			rec.durable.Close()
 			rec.durable = nil
@@ -812,7 +807,7 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 			// Compaction failure is not a client error: the log is intact,
 			// just long; retried at the next threshold crossing.
 			if err := s.compactSession(ctx, rec); err != nil {
-				s.serverLogger().Warn("tppd: WAL compaction failed; will retry",
+				s.logger.Warn("tppd: WAL compaction failed; will retry",
 					"session", rec.id, "error", err)
 			}
 		}

@@ -15,11 +15,9 @@ import (
 // returns it alongside the test HTTP front end.
 func newSessionTestServer(t *testing.T, ttl time.Duration) (*Server, *httptest.Server) {
 	t.Helper()
-	srv := NewServer(2, 1<<20, 30*time.Second, 0, ttl)
-	t.Cleanup(srv.Close)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return srv, ts
+	cfg := testConfig()
+	cfg.SessionTTL = ttl
+	return startTestServer(t, cfg)
 }
 
 func doJSON(t *testing.T, method, url string, payload any) (*http.Response, []byte) {
