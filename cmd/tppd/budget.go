@@ -4,6 +4,9 @@ package main
 //
 // Each resident session reports an approximate byte footprint (graph rows +
 // motif index + warm state, from tpp.MemFootprint, plus its label table).
+// Measuring is O(1) in the graph's size: the graph keeps its row capacity
+// total incrementally and the record keeps its label bytes as a running
+// count, so re-accounting after every request walks neither.
 // Every shard tracks those bytes in LRU order against its slice of the
 // -mem-budget cap. When a shard runs over, the coldest sessions whose locks
 // can be taken without waiting are spilled to their durable snapshots
@@ -18,24 +21,13 @@ package main
 // footprint change tries again. That trade (bounded overage, never a
 // lock-order deadlock) is deliberate.
 
-import "repro/internal/graph"
-
 // sessionFootprint measures a session's resident bytes: the Protector's
-// own estimate plus the label table the record carries. Requires the same
-// exclusivity as any session operation (the caller holds the record slot,
-// or the record is not yet published).
+// own estimate plus the label table the record carries, whose names are
+// stored twice (slice + map key) plus map/slice entry overhead. Requires
+// the same exclusivity as any session operation (the caller holds the
+// record slot, or the record is not yet published).
 func sessionFootprint(rec *sessionRecord) int64 {
-	return rec.session.MemFootprint() + labelingFootprint(rec.lab)
-}
-
-// labelingFootprint estimates the label table's bytes: each name is stored
-// twice (slice + map key) plus map/slice entry overhead.
-func labelingFootprint(lab *graph.Labeling) int64 {
-	var names int64
-	for _, name := range lab.ToName {
-		names += int64(len(name))
-	}
-	return 2*names + int64(len(lab.ToName))*64
+	return rec.session.MemFootprint() + 2*rec.labBytes + int64(len(rec.lab.ToName))*64
 }
 
 // noteFootprint re-measures rec (the caller holds its slot) and enforces

@@ -145,6 +145,7 @@ func (s *Server) rehydrateRecord(ctx context.Context, snap *durable.SessionSnaps
 		slot:          make(chan struct{}, 1),
 		session:       session,
 		lab:           lab,
+		labBytes:      nameBytes(lab.ToName),
 		pattern:       snap.State.Pattern.String(),
 		defaultBudget: snap.DefaultBudget,
 		created:       snap.Created,

@@ -778,10 +778,10 @@ func edgePairs(edges []graph.Edge, lab *graph.Labeling) [][2]string {
 	return out
 }
 
+// writeJSON writes v as compact JSON; pipe a response through jq to read
+// it comfortably.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }

@@ -24,7 +24,7 @@ func testConfig() Config {
 }
 
 // mustNewServer builds a server from cfg and closes it at test cleanup.
-func mustNewServer(t *testing.T, cfg Config) *Server {
+func mustNewServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	srv, err := NewServer(cfg)
 	if err != nil {
@@ -36,7 +36,7 @@ func mustNewServer(t *testing.T, cfg Config) *Server {
 
 // startTestServer builds a server from cfg and serves it over httptest;
 // the listener closes at cleanup, before the server does.
-func startTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func startTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	srv := mustNewServer(t, cfg)
 	ts := httptest.NewServer(srv.Handler())

@@ -42,7 +42,10 @@ type sessionRecord struct {
 
 	session *tpp.Protector
 	lab     *graph.Labeling
-	pattern string
+	// labBytes is Σ len(name) over lab.ToName: set where the record is
+	// built, kept in step by applyDeltaLabels, read by sessionFootprint.
+	labBytes int64
+	pattern  string
 	// defaultBudget is the creation-time budget, echoed in protect
 	// responses when a run does not override it (0 = critical budget).
 	defaultBudget int
@@ -593,6 +596,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		slot:          make(chan struct{}, 1),
 		session:       session,
 		lab:           lab,
+		labBytes:      nameBytes(lab.ToName),
 		pattern:       opts.pattern.String(),
 		defaultBudget: req.Budget,
 		created:       now,
@@ -786,7 +790,7 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	// The delta committed: fold the node churn into the session's label
 	// table (new labels join in ID order, the remap renames/retires the
 	// rest) before anything reads it again.
-	applyDeltaLabels(rec.lab, req.AddNodes, rep)
+	rec.labBytes += applyDeltaLabels(rec.lab, req.AddNodes, rep)
 	rec.deltas++
 	// Durability: the delta must be on the log (fsynced under -wal-sync)
 	// before the client sees the ack. An append failure means the delta is
@@ -917,28 +921,55 @@ func resolveDelta(req *deltaRequest, lab *graph.Labeling) (dynamic.Delta, error)
 	return d, nil
 }
 
-// applyDeltaLabels folds a committed delta into the session's label table:
-// the add_nodes labels join in ID order (matching the dense IDs
-// resolveDelta assigned), then the report's node remap renames survivors
-// and retires the removed labels.
-func applyDeltaLabels(lab *graph.Labeling, added []string, rep *tpp.DeltaReport) {
+// applyDeltaLabels folds a committed delta into the session's label table
+// in place and returns the change in its total name bytes: the add_nodes
+// labels join in ID order (matching the dense IDs resolveDelta assigned),
+// then the report's node remap renames survivors and retires the removed
+// labels.
+//
+// The remap comes from swap-with-last compaction (graph.RemoveNodes), so
+// its work is confined to the IDs at or above the new node count: each is
+// either removed, or a survivor moving down into a slot below the new
+// count that a removed node vacated. Survivors below the new count never
+// move. Walking that tail alone touches O(removed) entries; the slots it
+// writes lie below the ones it reads, so no slot is written before it is
+// read.
+func applyDeltaLabels(lab *graph.Labeling, added []string, rep *tpp.DeltaReport) (delta int64) {
 	for _, name := range added {
 		lab.ToID[name] = graph.NodeID(len(lab.ToName))
 		lab.ToName = append(lab.ToName, name)
+		delta += int64(len(name))
 	}
 	if rep.NodeRemap == nil {
-		return
+		return delta
 	}
-	old := lab.ToName
-	lab.ToName = make([]string, rep.Nodes)
-	for i, name := range old {
+	retire := func(name string) {
+		delete(lab.ToID, name)
+		delta -= int64(len(name))
+	}
+	for i := rep.Nodes; i < len(lab.ToName); i++ {
+		name := lab.ToName[i]
 		if nw := rep.NodeRemap[i]; nw == graph.NoNode {
-			delete(lab.ToID, name)
+			retire(name)
 		} else {
+			retire(lab.ToName[nw]) // the slot's old occupant was removed
 			lab.ToName[nw] = name
 			lab.ToID[name] = nw
 		}
 	}
+	clear(lab.ToName[rep.Nodes:])
+	lab.ToName = lab.ToName[:rep.Nodes]
+	return delta
+}
+
+// nameBytes sums the label lengths: the full measure applyDeltaLabels'
+// running count starts from.
+func nameBytes(names []string) int64 {
+	var n int64
+	for _, name := range names {
+		n += int64(len(name))
+	}
+	return n
 }
 
 // handleSessionProtect runs one protection request on the session's current

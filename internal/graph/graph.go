@@ -106,6 +106,9 @@ func UnpackEdge(p uint64) Edge {
 type Graph struct {
 	adj   [][]NodeID // per node: neighbors sorted ascending
 	edges int
+	// rowCap is Σ cap(row) over adj, kept in step wherever a row's
+	// capacity changes, so MemFootprint never walks the rows.
+	rowCap int
 }
 
 // New returns an empty graph with n nodes (IDs 0..n-1) and no edges.
@@ -148,6 +151,7 @@ func (g *Graph) RemoveNode(n NodeID) NodeID {
 		g.adj[w] = slices.Delete(g.adj[w], i, i+1)
 	}
 	g.edges -= len(g.adj[n])
+	g.rowCap -= cap(g.adj[n])
 	g.adj[n] = nil
 	last := NodeID(len(g.adj) - 1)
 	if n != last {
@@ -158,9 +162,13 @@ func (g *Graph) RemoveNode(n NodeID) NodeID {
 			i, _ := slices.BinarySearch(g.adj[w], last)
 			g.adj[w] = slices.Delete(g.adj[w], i, i+1)
 			j, _ := slices.BinarySearch(g.adj[w], n)
-			g.adj[w] = slices.Insert(g.adj[w], j, n)
+			g.insertAt(w, j, n)
 		}
 	}
+	// Nil the vacated slot before truncating: left in place, it would keep
+	// the moved row's backing array reachable after a later insert
+	// reallocates that row.
+	g.adj[last] = nil
 	g.adj = g.adj[:last]
 	return last
 }
@@ -244,11 +252,19 @@ func (g *Graph) AddEdge(u, v NodeID) bool {
 	if found {
 		return false
 	}
-	g.adj[e.U] = slices.Insert(g.adj[e.U], i, e.V)
+	g.insertAt(e.U, i, e.V)
 	j, _ := slices.BinarySearch(g.adj[e.V], e.U)
-	g.adj[e.V] = slices.Insert(g.adj[e.V], j, e.U)
+	g.insertAt(e.V, j, e.U)
 	g.edges++
 	return true
+}
+
+// insertAt inserts w into row n at position i, keeping rowCap in step
+// when the insert grows the row's backing array.
+func (g *Graph) insertAt(n NodeID, i int, w NodeID) {
+	before := cap(g.adj[n])
+	g.adj[n] = slices.Insert(g.adj[n], i, w)
+	g.rowCap += cap(g.adj[n]) - before
 }
 
 // AddEdgeE is AddEdge taking an Edge value.
@@ -517,6 +533,7 @@ func (g *Graph) Clone() *Graph {
 		cp := make([]NodeID, len(row))
 		copy(cp, row)
 		c.adj[i] = cp
+		c.rowCap += cap(cp)
 	}
 	return c
 }
@@ -551,14 +568,14 @@ func (g *Graph) String() string {
 // included — that memory is held either way). The estimate feeds the
 // session tier's memory budget; it deliberately counts reachable heap
 // bytes, not Go object headers, so it slightly undercounts true RSS.
+//
+// MemFootprint is O(1): the row capacities are summed incrementally by the
+// mutations that change them, so the answer equals a walk over the rows
+// without taking one.
 func (g *Graph) MemFootprint() int64 {
 	const (
 		sliceHeader = 24 // unsafe.Sizeof([]NodeID{}) on 64-bit
 		nodeIDBytes = 4  // NodeID is int32
 	)
-	b := int64(sliceHeader) + int64(cap(g.adj))*sliceHeader
-	for _, row := range g.adj {
-		b += int64(cap(row)) * nodeIDBytes
-	}
-	return b
+	return int64(sliceHeader) + int64(cap(g.adj))*sliceHeader + int64(g.rowCap)*nodeIDBytes
 }

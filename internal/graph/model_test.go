@@ -116,6 +116,23 @@ func checkAgainstModel(t *testing.T, g *Graph, m *modelGraph) {
 	}
 }
 
+// walkFootprint is the reference for Graph.MemFootprint: the full walk over
+// the spine and every row that the incremental count replaces.
+func walkFootprint(g *Graph) int64 {
+	b := int64(24) + int64(cap(g.adj))*24
+	for _, row := range g.adj {
+		b += int64(cap(row)) * 4
+	}
+	return b
+}
+
+func checkFootprint(t *testing.T, g *Graph, op string) {
+	t.Helper()
+	if got, want := g.MemFootprint(), walkFootprint(g); got != want {
+		t.Fatalf("after %s: MemFootprint = %d, row walk gives %d", op, got, want)
+	}
+}
+
 // applyModelOp decodes one mutation from a byte pair and applies it to both
 // the graph and the model, asserting the mutation reports agree. Returns
 // whether a structural check is due (AddNode boundaries double as
@@ -157,7 +174,8 @@ func applyModelOp(t *testing.T, g *Graph, m *modelGraph, a, b byte) bool {
 // reference under arbitrary AddEdge/RemoveEdge/AddNode/RemoveNode
 // sequences: degrees, HasEdge answers, sorted neighbor sets, edge counts
 // and the swap-with-last renumbering must agree at every checkpoint and at
-// the end of the sequence.
+// the end of the sequence, and the incremental footprint must equal a full
+// walk after every op.
 func FuzzGraphModel(f *testing.F) {
 	f.Add([]byte{0x01, 0x02, 0x03, 0x04, 0x07, 0x00, 0x05, 0x06})
 	f.Add([]byte{0xff, 0xfe, 0x00, 0x03, 0x30, 0x21, 0x12, 0x03})
@@ -168,6 +186,7 @@ func FuzzGraphModel(f *testing.F) {
 			if applyModelOp(t, g, m, data[i], data[i+1]) {
 				checkAgainstModel(t, g, m)
 			}
+			checkFootprint(t, g, "model op")
 		}
 		checkAgainstModel(t, g, m)
 	})
@@ -183,10 +202,80 @@ func TestGraphMatchesModelRandomOps(t *testing.T) {
 		for op := 0; op < 600; op++ {
 			a, b := byte(rng.Intn(256)), byte(rng.Intn(256))
 			applyModelOp(t, g, m, a, b)
+			checkFootprint(t, g, "model op")
 			if op%97 == 0 {
 				checkAgainstModel(t, g, m)
 			}
 		}
 		checkAgainstModel(t, g, m)
+	}
+}
+
+// TestMemFootprintIncrementalMatchesWalk drives random AddEdge, RemoveEdge,
+// AddNode, RemoveNodes and Clone sequences and asserts after every step that
+// the O(1) footprint equals the reference walk, on the original and on
+// every clone (which keeps mutating independently).
+func TestMemFootprintIncrementalMatchesWalk(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		graphs := []*Graph{New(16)}
+		checkFootprint(t, graphs[0], "New")
+		for op := 0; op < 2000; op++ {
+			g := graphs[rng.Intn(len(graphs))]
+			n := g.NumNodes()
+			var name string
+			switch r := rng.Intn(100); {
+			case r < 45:
+				name = "AddEdge"
+				if u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n)); u != v {
+					g.AddEdge(u, v)
+				}
+			case r < 75:
+				name = "RemoveEdge"
+				if u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n)); u != v {
+					g.RemoveEdge(u, v)
+				}
+			case r < 85:
+				name = "AddNode"
+				g.AddNode()
+			case r < 95:
+				name = "RemoveNodes"
+				if n <= 6 {
+					continue
+				}
+				var nodes []NodeID
+				for x := 0; x < n && len(nodes) < 3; x++ {
+					if rng.Intn(n) < 2 {
+						nodes = append(nodes, NodeID(x))
+					}
+				}
+				g.RemoveNodes(nodes)
+			default:
+				name = "Clone"
+				if len(graphs) < 4 {
+					c := g.Clone()
+					checkFootprint(t, c, "Clone (copy)")
+					graphs = append(graphs, c)
+				}
+			}
+			checkFootprint(t, g, name)
+		}
+		for _, g := range graphs {
+			checkFootprint(t, g, "end of sequence")
+		}
+	}
+}
+
+// TestRemoveNodeReleasesVacatedSlot pins that swap-with-last leaves no
+// pointer behind in the spine's hidden tail: the slot the moved row left
+// must be nil, or it would keep that row's old backing array reachable
+// after a later insert reallocates the row.
+func TestRemoveNodeReleasesVacatedSlot(t *testing.T) {
+	g := New(4)
+	g.AddEdge(1, 3)
+	g.AddEdge(2, 3)
+	g.RemoveNode(0) // node 3 moves to slot 0
+	if hidden := g.adj[:4][3]; hidden != nil {
+		t.Fatalf("vacated slot still holds row %v", hidden)
 	}
 }

@@ -24,6 +24,10 @@ const MinSessionBytes = sessionBaseBytes
 // session: the original graph, the cached phase-1 graph when one is built,
 // the motif index and the warm-start selection state.
 //
+// The cost does not grow with the graph: Graph.MemFootprint is O(1), kept
+// incrementally by the graph's mutations, and the index and warm-state
+// terms read slice capacities (plus one term per target's scratch row).
+//
 // MemFootprint is NOT safe concurrently with Run, Apply or Snapshot; the
 // caller serialises it like any other session operation (cmd/tppd holds the
 // session's record slot).
