@@ -2,6 +2,7 @@ package durable
 
 import (
 	"errors"
+	"os"
 	"testing"
 )
 
@@ -17,6 +18,11 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("TPPS"))
 	f.Add(appendWALHeader(nil)) // wrong magic family
+	golden, err := os.ReadFile(goldenSnapshot)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := DecodeSnapshot(data)
 		if err != nil {
