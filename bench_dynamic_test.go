@@ -248,8 +248,7 @@ func BenchmarkSessionMutationRebuild(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					working := fresh.Problem().Phase1()
-					if _, err := motif.NewIndex(working, pattern, fresh.Problem().Targets); err != nil {
+					if _, err := motif.NewIndex(fresh.Problem().G, pattern, fresh.Problem().Targets); err != nil {
 						b.Fatal(err)
 					}
 				}

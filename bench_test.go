@@ -106,8 +106,9 @@ func BenchmarkTable5UtilityLossDBLP(b *testing.B) {
 
 // --- Ablations (DESIGN.md §6) ----------------------------------------------
 
-// benchProblem builds a mid-size TPP instance shared by the ablations.
-func benchProblem(b *testing.B, pattern motif.Pattern) *tpp.Problem {
+// benchProblem builds a mid-size TPP instance shared by the ablations and
+// returns it with its original graph.
+func benchProblem(b *testing.B, pattern motif.Pattern) (*graph.Graph, *tpp.Problem) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
 	g := datasets.DBLPSim(800, 1).Graph
@@ -116,15 +117,16 @@ func benchProblem(b *testing.B, pattern motif.Pattern) *tpp.Problem {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return p
+	return g, p
 }
 
-// benchRun runs one selection on a fresh single-use session over p, so each
-// call pays the index build (indexed engine) plus the selection, like a
-// standalone protection request.
-func benchRun(b *testing.B, p *tpp.Problem, opts ...tpp.Option) *tpp.Result {
+// benchRun runs one selection on a fresh single-use session over p, whose
+// original graph is g, so each call pays the session set-up and the index
+// build (indexed engine) plus the selection, like a standalone protection
+// request.
+func benchRun(b *testing.B, g *graph.Graph, p *tpp.Problem, opts ...tpp.Option) *tpp.Result {
 	b.Helper()
-	pr, err := tpp.New(p.G, p.Targets, append([]tpp.Option{tpp.WithPattern(p.Pattern)}, opts...)...)
+	pr, err := tpp.New(g, p.Targets, append([]tpp.Option{tpp.WithPattern(p.Pattern)}, opts...)...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -138,7 +140,7 @@ func benchRun(b *testing.B, p *tpp.Problem, opts ...tpp.Option) *tpp.Result {
 // Ablation 1: Lemma 5 candidate restriction under the recount cost model —
 // the paper's ~20x claim (Fig. 5).
 func BenchmarkAblationRestriction(b *testing.B) {
-	p := benchProblem(b, motif.Triangle)
+	g, p := benchProblem(b, motif.Triangle)
 	for _, tc := range []struct {
 		name  string
 		scope tpp.Scope
@@ -148,7 +150,7 @@ func BenchmarkAblationRestriction(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				benchRun(b, p, tpp.WithEngine(tpp.EngineRecount), tpp.WithScope(tc.scope), tpp.WithBudget(4))
+				benchRun(b, g, p, tpp.WithEngine(tpp.EngineRecount), tpp.WithScope(tc.scope), tpp.WithBudget(4))
 			}
 		})
 	}
@@ -157,7 +159,7 @@ func BenchmarkAblationRestriction(b *testing.B) {
 // Ablation 2: inverted-index gains vs naive recount at equal candidate
 // scope.
 func BenchmarkAblationIndexVsRecount(b *testing.B) {
-	p := benchProblem(b, motif.Triangle)
+	g, p := benchProblem(b, motif.Triangle)
 	for _, tc := range []struct {
 		name   string
 		engine tpp.Engine
@@ -167,7 +169,7 @@ func BenchmarkAblationIndexVsRecount(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				benchRun(b, p, tpp.WithEngine(tc.engine), tpp.WithScope(tpp.ScopeTargetSubgraphs), tpp.WithBudget(4))
+				benchRun(b, g, p, tpp.WithEngine(tc.engine), tpp.WithScope(tpp.ScopeTargetSubgraphs), tpp.WithBudget(4))
 			}
 		})
 	}
@@ -176,13 +178,13 @@ func BenchmarkAblationIndexVsRecount(b *testing.B) {
 // Ablation 3: TBD vs DBD budget division under CT-Greedy — quality claim
 // (TBD wins) measured as final similarity, reported via custom metric.
 func BenchmarkAblationBudgetDivision(b *testing.B) {
-	p := benchProblem(b, motif.Rectangle)
+	g, p := benchProblem(b, motif.Rectangle)
 	k := 10
 	for _, division := range []tpp.Division{tpp.DivisionTBD, tpp.DivisionDBD} {
 		b.Run(strings.ToUpper(string(division)), func(b *testing.B) {
 			var finalSim float64
 			for i := 0; i < b.N; i++ {
-				res := benchRun(b, p, tpp.WithMethod(tpp.MethodCT), tpp.WithDivision(division), tpp.WithBudget(k))
+				res := benchRun(b, g, p, tpp.WithMethod(tpp.MethodCT), tpp.WithDivision(division), tpp.WithBudget(k))
 				finalSim = float64(res.FinalSimilarity())
 			}
 			b.ReportMetric(finalSim, "final-similarity")
@@ -197,11 +199,11 @@ func BenchmarkAblationBudgetDivision(b *testing.B) {
 // GOMAXPROCS, so on a host with fewer CPUs than a case's worker count that
 // case runs with GOMAXPROCS workers.
 func BenchmarkAblationParallelScan(b *testing.B) {
-	p := benchProblem(b, motif.Triangle)
+	g, p := benchProblem(b, motif.Triangle)
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				benchRun(b, p, tpp.WithEngine(tpp.EngineRecount), tpp.WithScope(tpp.ScopeAllEdges),
+				benchRun(b, g, p, tpp.WithEngine(tpp.EngineRecount), tpp.WithScope(tpp.ScopeAllEdges),
 					tpp.WithWorkers(workers), tpp.WithBudget(3))
 			}
 		})
@@ -229,7 +231,7 @@ func BenchmarkExt2KatzDefense(b *testing.B) {
 }
 
 func BenchmarkWeightedSGBGreedy(b *testing.B) {
-	p := benchProblem(b, motif.Rectangle)
+	_, p := benchProblem(b, motif.Rectangle)
 	weights := make([]float64, len(p.Targets))
 	for i := range weights {
 		weights[i] = float64(i%3) + 0.5
@@ -534,7 +536,7 @@ func BenchmarkEdgeIDGreedyEndToEnd(b *testing.B) {
 	b.Run("indexed", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			benchRun(b, p, tpp.WithEngine(tpp.EngineIndexed), tpp.WithScope(tpp.ScopeTargetSubgraphs), tpp.WithBudget(25))
+			benchRun(b, g, p, tpp.WithEngine(tpp.EngineIndexed), tpp.WithScope(tpp.ScopeTargetSubgraphs), tpp.WithBudget(25))
 		}
 	})
 }

@@ -80,8 +80,14 @@ func TestApplyDeltaLabelsMatchesRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	rates := gen.ChurnRates{EdgeInsert: 0.3, EdgeRemove: 0.2, NodeArrive: 0.15, NodeDepart: 0.25, TargetAdd: 0.05, TargetDrop: 0.05}
+	// The churn mirror tracks the original graph: the session's phase-1
+	// graph with the target links added back.
 	p := rec.session.Problem()
-	churn := gen.NewMutationChurn(p.G, p.Targets, rates, rand.New(rand.NewSource(7)))
+	orig := p.G.Clone()
+	for _, t := range p.Targets {
+		orig.AddEdgeE(t)
+	}
+	churn := gen.NewMutationChurn(orig, p.Targets, rates, rand.New(rand.NewSource(7)))
 	minted, departures := 0, 0
 	for batch := 0; batch < 150; batch++ {
 		m := churn.Next(8)
@@ -122,6 +128,9 @@ func TestApplyDeltaLabelsMatchesRebuild(t *testing.T) {
 			t.Fatalf("batch %d: Apply: %v", batch, err)
 		}
 		departures += rep.NodesRemoved
+		if rep.Nodes != churn.Graph().NumNodes() || rep.Edges != churn.Graph().NumEdges() {
+			t.Fatalf("batch %d: report says %d nodes / %d edges, churn mirror %v", batch, rep.Nodes, rep.Edges, churn.Graph())
+		}
 		want := rebuildLabels(rec.lab, req.AddNodes, rep)
 		rec.labBytes += applyDeltaLabels(rec.lab, req.AddNodes, rep)
 

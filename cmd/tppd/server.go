@@ -401,7 +401,7 @@ func (s *Server) handleProtect(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	g, targets := session.Problem().G, session.Problem().Targets
+	p := session.Problem()
 
 	s.metrics.protectRequests.Inc()
 	s.metrics.inflightRuns.Add(1)
@@ -415,9 +415,9 @@ func (s *Server) handleProtect(w http.ResponseWriter, r *http.Request) {
 
 	resp := protectResponse{
 		Method:            res.Method,
-		Nodes:             g.NumNodes(),
-		Edges:             g.NumEdges(),
-		Targets:           edgePairs(targets, lab),
+		Nodes:             p.G.NumNodes(),
+		Edges:             originalEdges(p),
+		Targets:           edgePairs(p.Targets, lab),
 		Budget:            req.Budget,
 		Protectors:        edgePairs(res.Protectors, lab),
 		InitialSimilarity: res.SimilarityTrace[0],
@@ -769,6 +769,10 @@ func (r *protectRequest) resolveTargets(g *graph.Graph, lab *graph.Labeling) ([]
 	}
 	return out, nil
 }
+
+// originalEdges is the wire "edges" count: the client's graph, target
+// links included, which the session's phase-1 graph withholds.
+func originalEdges(p *tpp.Problem) int { return p.G.NumEdges() + len(p.Targets) }
 
 func edgePairs(edges []graph.Edge, lab *graph.Labeling) [][2]string {
 	out := make([][2]string, len(edges))

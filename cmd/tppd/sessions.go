@@ -680,7 +680,7 @@ func (s *Server) sessionInfo(id string, rec *sessionRecord) sessionResponse {
 	return sessionResponse{
 		ID:            id,
 		Nodes:         p.G.NumNodes(),
-		Edges:         p.G.NumEdges(),
+		Edges:         originalEdges(p),
 		Targets:       edgePairs(p.Targets, rec.lab),
 		Pattern:       rec.pattern,
 		Created:       rec.created,
@@ -1077,7 +1077,7 @@ func (s *Server) handleSessionProtect(w http.ResponseWriter, r *http.Request) {
 	resp := protectResponse{
 		Method:            res.Method,
 		Nodes:             p.G.NumNodes(),
-		Edges:             p.G.NumEdges(),
+		Edges:             originalEdges(p),
 		Targets:           edgePairs(p.Targets, rec.lab),
 		Budget:            budget,
 		Protectors:        edgePairs(res.Protectors, rec.lab),

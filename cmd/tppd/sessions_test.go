@@ -180,6 +180,77 @@ func TestSessionDeltaMatchesOneShot(t *testing.T) {
 	}
 }
 
+// TestSessionEdgesCountTargetChurn pins the wire "edges" count under
+// target churn: the delta response, GET and the next protect all count the
+// client's graph, target links included, exactly as an edge-set mirror of
+// the create request plus the delta does.
+func TestSessionEdgesCountTargetChurn(t *testing.T) {
+	_, ts := newSessionTestServer(t, 0)
+	id := createQuickstartSession(t, ts)
+	if resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+id+"/protect", sessionProtectRequest{}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm protect: status %d: %s", resp.StatusCode, body)
+	}
+
+	// The mirror: the created edge list (targets 0-5 and 2-7 included),
+	// plus an insertion and two promoted targets, minus a retired target.
+	mirror := make(map[[2]string]bool)
+	for _, e := range quickstartEdges {
+		mirror[e] = true
+	}
+	req := deltaRequest{
+		Insert:      [][2]string{{"1", "7"}},
+		AddTargets:  [][2]string{{"3", "5"}, {"1", "9"}},
+		DropTargets: [][2]string{{"2", "7"}},
+	}
+	mirror[[2]string{"1", "7"}] = true
+	mirror[[2]string{"3", "5"}] = true
+	mirror[[2]string{"1", "9"}] = true
+	delete(mirror, [2]string{"2", "7"})
+	want := len(mirror)
+
+	resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+id+"/delta", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("delta: status %d: %s", resp.StatusCode, body)
+	}
+	var drep deltaResponse
+	if err := json.Unmarshal(body, &drep); err != nil {
+		t.Fatal(err)
+	}
+	if drep.Inserted != 1 || drep.TargetsAdded != 2 || drep.TargetsDropped != 1 || drep.Targets != 3 {
+		t.Fatalf("delta response = %+v, want 1 insertion, 2 added and 1 dropped target", drep)
+	}
+	if drep.Edges != want {
+		t.Fatalf("delta response edges = %d, mirror has %d", drep.Edges, want)
+	}
+
+	resp, body = doJSON(t, http.MethodGet, ts.URL+"/v1/sessions/"+id, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("get: status %d: %s", resp.StatusCode, body)
+	}
+	var info sessionResponse
+	if err := json.Unmarshal(body, &info); err != nil {
+		t.Fatal(err)
+	}
+	if info.Edges != want || len(info.Targets) != 3 {
+		t.Fatalf("get reports %d edges and %d targets, mirror has %d edges and 3 targets", info.Edges, len(info.Targets), want)
+	}
+
+	resp, body = doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+id+"/protect", sessionProtectRequest{})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("protect after delta: status %d: %s", resp.StatusCode, body)
+	}
+	var prot protectResponse
+	if err := json.Unmarshal(body, &prot); err != nil {
+		t.Fatal(err)
+	}
+	if prot.Edges != want {
+		t.Fatalf("protect reports %d edges, mirror has %d", prot.Edges, want)
+	}
+	if got := len(prot.ReleasedEdges); got != want-len(prot.Targets)-len(prot.Protectors) {
+		t.Fatalf("released %d edges, want %d - %d targets - %d protectors", got, want, len(prot.Targets), len(prot.Protectors))
+	}
+}
+
 func TestSessionDeltaRejections(t *testing.T) {
 	_, ts := newSessionTestServer(t, 0)
 	id := createQuickstartSession(t, ts)

@@ -75,7 +75,7 @@ func main() {
 	}
 	snapInfo, _ := os.Stat(filepath.Join(dir, "s1.snap"))
 	fmt.Printf("persisted: %d nodes, %d edges, %d targets → %d-byte snapshot\n",
-		st.Graph.NumNodes(), st.Graph.NumEdges(), len(st.Targets), snapInfo.Size())
+		st.Graph.NumNodes(), st.Graph.NumEdges()+len(st.Targets), len(st.Targets), snapInfo.Size())
 
 	// The network evolves. Every applied delta is logged and fsynced before
 	// the caller would be acked — the WAL is the commit point.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/graph"
@@ -19,7 +20,8 @@ import (
 //
 // The body is varint-coded (uvarint for counts and IDs, zigzag varint for
 // signed values): serving metadata (seq, created, runs, default budget,
-// labels), the resolved session options, the graph as per-node sorted
+// labels), the resolved session options, the original graph (the session's
+// phase-1 graph plus its target links) as per-node sorted
 // forward-adjacency rows with delta-coded neighbours, the target list in
 // priority order, the session counters, the warm-start selection and the
 // index invariants. Decode validates every count against the bytes
@@ -85,7 +87,7 @@ func EncodeSnapshot(buf []byte, snap *SessionSnapshot) []byte {
 	buf = binary.AppendVarint(buf, st.Seed)
 	buf = appendBool(buf, st.WarmOff)
 
-	buf = appendGraph(buf, st.Graph)
+	buf = appendGraph(buf, st.Graph, st.Targets)
 	buf = appendEdgeList(buf, st.Targets)
 
 	buf = binary.AppendUvarint(buf, uint64(st.WarmRuns))
@@ -217,6 +219,13 @@ func DecodeSnapshot(data []byte) (*SessionSnapshot, error) {
 	if st.Targets, err = r.edgeList("targets", n); err != nil {
 		return nil, err
 	}
+	// The rows hold the original graph; the session state holds the
+	// phase-1 graph, so withhold the target links again.
+	for _, t := range st.Targets {
+		if !st.Graph.RemoveEdgeE(t) {
+			return nil, corruptSnapf("target %v is not an edge of the snapshot graph", t)
+		}
+	}
 
 	if st.WarmRuns, err = r.nonNegInt64("warm runs"); err != nil {
 		return nil, err
@@ -312,26 +321,35 @@ func appendBool(buf []byte, b bool) []byte {
 	return append(buf, 0)
 }
 
-// appendGraph encodes the graph as per-node forward-adjacency rows: for
+// appendGraph encodes the original graph — the phase-1 graph g plus the
+// target links, which g withholds — as per-node forward-adjacency rows: for
 // each node u in order, the count of neighbours v > u followed by the
 // neighbours delta-coded off u (first as v-u-1, then off the previous
-// neighbour). Rows come straight off NeighborsView's sorted slices, and
-// decoding re-adds edges in canonical lex order — the graph's amortised
-// O(1) append path.
-func appendGraph(buf []byte, g *graph.Graph) []byte {
+// neighbour). Each row is NeighborsView's sorted slice merged with u's
+// forward targets, and decoding re-adds edges in canonical lex order — the
+// graph's amortised O(1) append path.
+func appendGraph(buf []byte, g *graph.Graph, targets []graph.Edge) []byte {
+	ts := make([]graph.Edge, len(targets))
+	for i, t := range targets {
+		ts[i] = graph.NewEdge(t.U, t.V)
+	}
+	graph.SortEdges(ts)
 	n := g.NumNodes()
 	buf = binary.AppendUvarint(buf, uint64(n))
-	buf = binary.AppendUvarint(buf, uint64(g.NumEdges()))
-	for u := 0; u < n; u++ {
-		row := g.NeighborsView(graph.NodeID(u))
-		// Forward neighbours are a suffix of the sorted row.
-		i := 0
-		for i < len(row) && row[i] <= graph.NodeID(u) {
-			i++
+	buf = binary.AppendUvarint(buf, uint64(g.NumEdges()+len(ts)))
+	var fwd []graph.NodeID
+	for u := graph.NodeID(0); int(u) < n; u++ {
+		// Forward neighbours are a suffix of the sorted row; u's forward
+		// targets are the next run of the sorted target list.
+		row := g.NeighborsView(u)
+		i, _ := slices.BinarySearch(row, u)
+		fwd = append(fwd[:0], row[i:]...)
+		for ; len(ts) > 0 && ts[0].U == u; ts = ts[1:] {
+			fwd = append(fwd, ts[0].V)
 		}
-		fwd := row[i:]
+		slices.Sort(fwd)
 		buf = binary.AppendUvarint(buf, uint64(len(fwd)))
-		prev := graph.NodeID(u)
+		prev := u
 		for _, v := range fwd {
 			buf = binary.AppendUvarint(buf, uint64(v-prev-1))
 			prev = v

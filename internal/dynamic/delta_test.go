@@ -260,7 +260,8 @@ func TestDeltaApplyAndTargets(t *testing.T) {
 }
 
 // TestApplyTargetsNoChangeReturnsSameSlice pins the no-op fast path relied
-// on by Protector.Apply's copy-on-write discipline.
+// on by Protector.Apply: an edge-only delta keeps the target list, so a
+// snapshot borrowing it stays valid.
 func TestApplyTargetsNoChangeReturnsSameSlice(t *testing.T) {
 	targets := []graph.Edge{{U: 1, V: 2}}
 	d := Delta{Insert: []graph.Edge{{U: 0, V: 3}}}

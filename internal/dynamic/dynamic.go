@@ -26,7 +26,9 @@
 // Delta.ApplyToGraph) so label tables and caches can follow along.
 //
 // Up the stack, tpp.Protector.Apply threads a Delta through a long-lived
-// protection session, and cmd/tppd exposes session-scoped deltas over HTTP.
+// protection session — it validates the delta against the session's one
+// graph, the phase-1 graph, and mutates it with Delta.ApplyToGraph — and
+// cmd/tppd exposes session-scoped deltas over HTTP.
 package dynamic
 
 import (
@@ -62,10 +64,10 @@ func invalidf(format string, args ...any) error {
 //     not be an endpoint of any surviving or added target.
 //   - AddTargets promotes absent non-target pairs to protected target
 //     links: the link joins the target list (appended in canonical order
-//     after the survivors) and the session's original graph, but never the
-//     phase-1 graph — targets are withheld from release by definition.
+//     after the survivors), but never the phase-1 graph — targets are
+//     withheld from release by definition.
 //   - DropTargets retires current targets: the link leaves the target list
-//     and the session graph entirely (it was never in the phase-1 graph).
+//     (it was never in the phase-1 graph).
 //     A delta may not retire every target: a session must always have at
 //     least one link to protect.
 //
@@ -369,7 +371,7 @@ func (d Delta) Validate(g *graph.Graph, targets []graph.Edge) error {
 // membership for the delta's edges and nodes); on a validated delta every
 // mutation takes effect.
 func (d Delta) ApplyToGraph(g *graph.Graph) []graph.NodeID {
-	return d.apply(g, false, true)
+	return d.apply(g, false)
 }
 
 // ApplyToOriginal is ApplyToGraph for an original-style graph (target links
@@ -377,24 +379,10 @@ func (d Delta) ApplyToGraph(g *graph.Graph) []graph.NodeID {
 // added targets join it, before the node removals. Both appliers produce
 // the same remap for the same delta.
 func (d Delta) ApplyToOriginal(g *graph.Graph) []graph.NodeID {
-	return d.apply(g, true, true)
+	return d.apply(g, true)
 }
 
-// ApplyToSession applies the delta to a session's pair of graphs — the
-// original-style graph and its cached phase-1 companion (pass nil when the
-// session has not derived one) — and returns the shared node remap. The
-// two graphs always have the same node universe, so the remap is computed
-// once instead of once per graph (it is O(nodes), the only
-// graph-proportional cost on the apply path).
-func (d Delta) ApplyToSession(original, phase1 *graph.Graph) []graph.NodeID {
-	remap := d.apply(original, true, true)
-	if phase1 != nil {
-		d.apply(phase1, false, false)
-	}
-	return remap
-}
-
-func (d Delta) apply(g *graph.Graph, targetEdges, wantRemap bool) []graph.NodeID {
+func (d Delta) apply(g *graph.Graph, targetEdges bool) []graph.NodeID {
 	for i := 0; i < d.AddNodes; i++ {
 		g.AddNode()
 	}
@@ -412,14 +400,7 @@ func (d Delta) apply(g *graph.Graph, targetEdges, wantRemap bool) []graph.NodeID
 			g.AddEdgeE(t)
 		}
 	}
-	if wantRemap {
-		return g.RemoveNodes(d.RemoveNodes)
-	}
-	// Same removals, same descending order, no remap materialisation.
-	for i := len(d.RemoveNodes) - 1; i >= 0; i-- {
-		g.RemoveNode(d.RemoveNodes[i])
-	}
-	return nil
+	return g.RemoveNodes(d.RemoveNodes)
 }
 
 // ApplyTargets returns the post-delta target list for a validated delta:

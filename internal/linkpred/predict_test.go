@@ -90,7 +90,7 @@ func TestPrecisionCollapsesUnderTPP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive := pr.Problem().Phase1()
+	naive := pr.Problem().G
 	before := PrecisionAtK(naive, CommonNeighbors, targets, 300)
 	if before == 0 {
 		t.Fatal("attack premise failed: no signal before protection")

@@ -21,7 +21,7 @@ func randomDeletion(p *Problem, k int, rng *rand.Rand, env runEnv) (*Result, err
 	// report the similarity trace (RD computes no gains — that is its
 	// point), so the clock starts at the actual selection.
 	return randomBaseline(p, k, rng, env, "RD", func(p *Problem, _ *motif.Index) []graph.Edge {
-		return p.Phase1().Edges()
+		return p.G.Edges()
 	})
 }
 
@@ -73,12 +73,12 @@ func randomBaseline(p *Problem, k int, rng *rand.Rand, env runEnv, name string,
 // (1 − 1/e) bound. Ties are resolved toward the lexicographically smallest
 // protector set.
 func OptimalSGB(p *Problem, k int) (best []graph.Edge, bestBroken int, err error) {
-	ix, err := motif.NewIndex(p.Phase1(), p.Pattern, p.Targets)
+	ix, err := motif.NewIndex(p.G, p.Pattern, p.Targets)
 	if err != nil {
 		return nil, 0, err
 	}
 	cands := ix.CandidateEdges()
-	insts := motif.Instances(p.Phase1(), p.Pattern, p.Targets)
+	insts := motif.Instances(p.G, p.Pattern, p.Targets)
 	if len(cands) > 24 {
 		return nil, 0, fmt.Errorf("tpp: OptimalSGB: %d candidate edges is too many for exhaustive search", len(cands))
 	}
@@ -134,7 +134,7 @@ func OptimalMLBT(p *Problem, budgets []int) (bestBroken int, err error) {
 	if err := validateBudgets(p, budgets); err != nil {
 		return 0, err
 	}
-	ix, err := motif.NewIndex(p.Phase1(), p.Pattern, p.Targets)
+	ix, err := motif.NewIndex(p.G, p.Pattern, p.Targets)
 	if err != nil {
 		return 0, err
 	}
@@ -142,7 +142,7 @@ func OptimalMLBT(p *Problem, budgets []int) (bestBroken int, err error) {
 	if len(cands) > 10 {
 		return 0, fmt.Errorf("tpp: OptimalMLBT: %d candidate edges is too many for exhaustive search", len(cands))
 	}
-	insts := motif.Instances(p.Phase1(), p.Pattern, p.Targets)
+	insts := motif.Instances(p.G, p.Pattern, p.Targets)
 
 	deleted := make(map[graph.Edge]bool)
 	used := make([]int, len(budgets))

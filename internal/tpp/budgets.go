@@ -28,8 +28,7 @@ func TBD(k int, wCounts []int) ([]int, error) {
 
 // TBDForProblem computes |W_t| on the phase-1 graph and applies TBD.
 func TBDForProblem(p *Problem, k int) ([]int, error) {
-	g := p.Phase1()
-	_, per := motif.CountAll(g, p.Pattern, p.Targets)
+	_, per := motif.CountAll(p.G, p.Pattern, p.Targets)
 	return TBD(k, per)
 }
 
@@ -48,9 +47,19 @@ func DBD(k int, g *graph.Graph, targets []graph.Edge) ([]int, error) {
 	return apportion(k, weights, nil), nil
 }
 
-// DBDForProblem applies DBD using the problem's original graph.
+// DBDForProblem applies DBD using the problem's original graph: an
+// endpoint's degree there is its phase-1 degree plus its incident targets.
 func DBDForProblem(p *Problem, k int) ([]int, error) {
-	return DBD(k, p.G, p.Targets)
+	deg := make(map[graph.NodeID]int, 2*len(p.Targets))
+	for _, t := range p.Targets {
+		deg[t.U]++
+		deg[t.V]++
+	}
+	weights := make([]float64, len(p.Targets))
+	for i, t := range p.Targets {
+		weights[i] = float64(p.G.Degree(t.U)+deg[t.U]) * float64(p.G.Degree(t.V)+deg[t.V])
+	}
+	return apportion(k, weights, nil), nil
 }
 
 func toFloats(xs []int) []float64 {

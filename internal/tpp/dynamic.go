@@ -20,8 +20,8 @@ type DeltaReport struct {
 	// TargetsAdded and TargetsDropped count the target-list edits; Targets
 	// is the target count after the delta.
 	TargetsAdded, TargetsDropped, Targets int
-	// Nodes and Edges are the session graph's size after the delta
-	// (target links included).
+	// Nodes and Edges are the original graph's size after the delta: the
+	// phase-1 graph's edges plus the target links.
 	Nodes, Edges int
 	// NodeRemap is the node renaming the delta's node removals produced:
 	// NodeRemap[old] is the node's new ID, graph.NoNode for removed nodes.
@@ -64,10 +64,10 @@ type DeltaReport struct {
 // (its cost is bounded by the enumeration a fresh build would pay, usually
 // a small fraction of it).
 //
-// The graph passed to New is never mutated: the first Apply detaches the
-// session onto a private clone. Results returned by earlier Runs describe
-// the pre-delta graph and numbering; re-Run the session for selections on
-// the current one.
+// Apply mutates the session's own phase-1 graph (Problem().G) in place;
+// the graph passed to New is a separate copy and never changes. Results
+// returned by earlier Runs describe the pre-delta graph and numbering;
+// re-Run the session for selections on the current one.
 func (pr *Protector) Apply(ctx context.Context, d dynamic.Delta) (*DeltaReport, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -86,16 +86,7 @@ func (pr *Protector) Apply(ctx context.Context, d dynamic.Delta) (*DeltaReport, 
 	if err := d.Validate(pr.problem.G, pr.problem.Targets); err != nil {
 		return nil, err
 	}
-	if !pr.ownsGraph {
-		pr.problem = &Problem{G: pr.problem.G.Clone(), Pattern: pr.problem.Pattern, Targets: pr.problem.Targets}
-		pr.ownsGraph = true
-	}
-	// Target links are withheld from the phase-1 graph, so it follows the
-	// same mutations minus the target-membership edits and stays exactly
-	// problem.G minus targets; the shared node remap is computed once.
-	remap := d.ApplyToSession(pr.problem.G, pr.phase1)
-	// ApplyTargets never mutates the old slice, so a pre-detach sharing of
-	// the caller's target list stays safe.
+	remap := d.ApplyToGraph(pr.problem.G)
 	pr.problem.Targets = d.ApplyTargets(pr.problem.Targets, remap)
 	rep := &DeltaReport{
 		Inserted:       len(d.Insert),
@@ -106,11 +97,11 @@ func (pr *Protector) Apply(ctx context.Context, d dynamic.Delta) (*DeltaReport, 
 		TargetsDropped: len(d.DropTargets),
 		Targets:        len(pr.problem.Targets),
 		Nodes:          pr.problem.G.NumNodes(),
-		Edges:          pr.problem.G.NumEdges(),
+		Edges:          pr.problem.G.NumEdges() + len(pr.problem.Targets),
 		NodeRemap:      remap,
 	}
 	if pr.ix != nil {
-		st, err := pr.ix.ApplyMutation(pr.phase1, motif.Mutation{
+		st, err := pr.ix.ApplyMutation(pr.problem.G, motif.Mutation{
 			Inserted:    d.Insert,
 			Removed:     d.Remove,
 			AddTargets:  d.AddTargets,

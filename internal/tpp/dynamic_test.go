@@ -75,8 +75,8 @@ func TestSessionApplyParity(t *testing.T) {
 	}
 }
 
-// TestSessionApplyDetachesGraph verifies the first Apply clones: the graph
-// handed to New stays untouched.
+// TestSessionApplyDetachesGraph verifies Apply mutates only the session's
+// own phase-1 copy: the graph handed to New stays untouched.
 func TestSessionApplyDetachesGraph(t *testing.T) {
 	g := gen.Cycle(8)
 	g.AddEdge(0, 2) // triangle completion for target (1,2)... target below
@@ -199,8 +199,10 @@ func TestSessionApplyFullMutationParity(t *testing.T) {
 						t.Fatalf("step %d: target %d = %v, churn mirror has %v", step, i, p.Targets[i], wantTargets[i])
 					}
 				}
-				if p.G.NumNodes() != churn.Graph().NumNodes() || p.G.NumEdges() != churn.Graph().NumEdges() {
-					t.Fatalf("step %d: session graph %v, churn mirror %v", step, p.G, churn.Graph())
+				if p.G.NumNodes() != churn.Graph().NumNodes() || p.G.NumEdges()+len(p.Targets) != churn.Graph().NumEdges() ||
+					rep.Nodes != churn.Graph().NumNodes() || rep.Edges != churn.Graph().NumEdges() {
+					t.Fatalf("step %d: session graph %v (+%d targets, report %d/%d), churn mirror %v",
+						step, p.G, len(p.Targets), rep.Nodes, rep.Edges, churn.Graph())
 				}
 
 				got, err := session.Run(ctx)
@@ -315,7 +317,7 @@ func TestSessionApplyTargetChurnCold(t *testing.T) {
 	}
 	// Parity against a fresh session on the session's own current state.
 	p := session.Problem()
-	fresh, err := New(p.G, p.Targets)
+	fresh, err := New(originalGraph(p), p.Targets)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,9 +47,9 @@ type KatzResult struct {
 func (r *KatzResult) FinalScore() float64 { return r.ScoreTrace[len(r.ScoreTrace)-1] }
 
 // KatzGreedy deletes up to k protector links minimising the total
-// truncated Katz score of the targets. The graph passed via the problem is
-// handled exactly like the motif algorithms: targets are removed first,
-// then protectors are chosen among the remaining edges.
+// truncated Katz score of the targets. Like the motif algorithms it chooses
+// protectors among the edges of the problem's phase-1 graph, deleting them
+// from a private copy.
 func KatzGreedy(p *Problem, k int, opt KatzOptions) (*KatzResult, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("tpp: negative budget %d", k)
@@ -60,7 +60,7 @@ func KatzGreedy(p *Problem, k int, opt KatzOptions) (*KatzResult, error) {
 	if opt.MaxLen < 2 {
 		return nil, fmt.Errorf("tpp: Katz max length %d < 2", opt.MaxLen)
 	}
-	g := p.Phase1()
+	g := p.G.Clone()
 	start := time.Now()
 
 	// One walk-vector scratch serves every Katz evaluation of the run: the

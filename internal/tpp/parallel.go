@@ -40,7 +40,7 @@ func sgbGreedyParallel(p *Problem, k int, scope Scope, workers int, env runEnv) 
 	// Per-worker working graphs, kept in lockstep with master's deletions.
 	graphs := make([]*graph.Graph, workers)
 	for i := range graphs {
-		graphs[i] = p.Phase1()
+		graphs[i] = p.G.Clone()
 	}
 
 	res := newResult(options{Scope: scope}.variantName("SGB-Greedy")+":parallel", master.totalSimilarity())

@@ -40,8 +40,10 @@ import (
 // Problem is one TPP instance: a social graph, a motif pattern defining
 // what counts as a target subgraph, and the sensitive target links.
 type Problem struct {
-	// G is the original graph, including target links. It is never mutated
-	// by this package.
+	// G is the phase-1 graph: the social graph with every target link
+	// withheld, so the original graph is G plus the Targets. NewProblem
+	// builds it on a copy of the caller's graph; a Protector's Apply
+	// mutates it in place.
 	G *graph.Graph
 	// Pattern is the motif that adversarial link prediction exploits.
 	Pattern motif.Pattern
@@ -52,8 +54,24 @@ type Problem struct {
 }
 
 // NewProblem validates and constructs a Problem. Every target must be an
-// existing, distinct edge of g. Target order is preserved.
+// existing, distinct edge of g. Target order is preserved. The problem's
+// G is a copy of g with the targets removed; g is never mutated.
 func NewProblem(g *graph.Graph, pattern motif.Pattern, targets []graph.Edge) (*Problem, error) {
+	ts, err := canonicalTargets(g, targets, true)
+	if err != nil {
+		return nil, err
+	}
+	g1 := g.Clone()
+	for _, t := range ts {
+		g1.RemoveEdgeE(t)
+	}
+	return &Problem{G: g1, Pattern: pattern, Targets: ts}, nil
+}
+
+// canonicalTargets canonicalises a target list and checks it against g:
+// distinct node pairs of g, each an edge of g when linked is set (g is an
+// original graph) and absent from g otherwise (g is a phase-1 graph).
+func canonicalTargets(g *graph.Graph, targets []graph.Edge, linked bool) ([]graph.Edge, error) {
 	if g == nil {
 		return nil, fmt.Errorf("tpp: nil graph")
 	}
@@ -66,8 +84,11 @@ func NewProblem(g *graph.Graph, pattern motif.Pattern, targets []graph.Edge) (*P
 		if !t.Canonical() {
 			t = graph.NewEdge(t.U, t.V)
 		}
-		if !g.HasEdgeE(t) {
+		switch {
+		case linked && !g.HasEdgeE(t):
 			return nil, fmt.Errorf("tpp: target %v is not an edge of the graph", t)
+		case !linked && (t.U < 0 || int(t.V) >= g.NumNodes() || g.HasEdgeE(t)):
+			return nil, fmt.Errorf("tpp: target %v is not an absent node pair of the phase-1 graph", t)
 		}
 		if seen[t] {
 			return nil, fmt.Errorf("tpp: duplicate target %v", t)
@@ -75,23 +96,13 @@ func NewProblem(g *graph.Graph, pattern motif.Pattern, targets []graph.Edge) (*P
 		seen[t] = true
 		ts = append(ts, t)
 	}
-	return &Problem{G: g, Pattern: pattern, Targets: ts}, nil
+	return ts, nil
 }
 
-// Phase1 returns a fresh copy of the graph with every target link removed —
-// the graph on which phase-2 protector selection operates.
-func (p *Problem) Phase1() *graph.Graph {
-	g := p.G.Clone()
-	for _, t := range p.Targets {
-		g.RemoveEdgeE(t)
-	}
-	return g
-}
-
-// ProtectedGraph returns the released graph: phase-1 graph minus the given
-// protectors. This is what utility metrics and attack evaluation run on.
+// ProtectedGraph returns the released graph: a copy of the phase-1 graph
+// minus the given protectors, which utility metrics and attacks run on.
 func (p *Problem) ProtectedGraph(protectors []graph.Edge) *graph.Graph {
-	g := p.Phase1()
+	g := p.G.Clone()
 	g.RemoveEdges(protectors)
 	return g
 }
@@ -101,8 +112,7 @@ func (p *Problem) ProtectedGraph(protectors []graph.Edge) *graph.Graph {
 // (the paper requires C ≥ s(∅, T); choosing equality makes f(∅, T) = 0 and
 // f(P, T) = number of broken target subgraphs).
 func (p *Problem) InitialSimilarity() int {
-	g := p.Phase1()
-	total, _ := motif.CountAll(g, p.Pattern, p.Targets)
+	total, _ := motif.CountAll(p.G, p.Pattern, p.Targets)
 	return total
 }
 

@@ -45,9 +45,7 @@ type Protector struct {
 	base    settings
 
 	runSlot        chan struct{} // capacity 1: serialises runs and deltas, ctx-aware
-	ix             *motif.Index  // built on first indexed run, then reused
-	phase1         *graph.Graph  // cached phase-1 graph backing ix; mutated by Apply
-	ownsGraph      bool          // problem.G detached from the caller's graph (first Apply)
+	ix             *motif.Index  // built on problem.G by the first indexed run, then reused
 	warm           warmState     // warm-start snapshot; serialised on runSlot like ix
 	indexBuilds    atomic.Int64  // number of motif.NewIndex calls (observability)
 	indexBuildTime atomic.Int64  // total nanoseconds spent enumerating indexes
@@ -173,7 +171,7 @@ func WithProgress(fn ProgressFunc) Option { return func(s *settings) { s.progres
 // New constructs a protection session for the graph and target links.
 // It validates the targets (each must be a distinct existing edge) and the
 // options eagerly, so a server can map a New failure to a bad request.
-// The graph is never mutated; expensive state is built lazily on first Run.
+// g is never mutated: the session keeps one graph, its own phase-1 copy.
 func New(g *graph.Graph, targets []graph.Edge, opts ...Option) (*Protector, error) {
 	s := defaultSettings()
 	for _, o := range opts {
@@ -193,8 +191,10 @@ func New(g *graph.Graph, targets []graph.Edge, opts ...Option) (*Protector, erro
 	}, nil
 }
 
-// Problem exposes the validated problem instance (canonicalised targets,
-// phase-1 helpers) for callers that need lower-level access.
+// Problem exposes the validated problem instance (the session's phase-1
+// graph and canonicalised targets) for callers that need lower-level
+// access. It is live session state: Apply mutates it in place, so callers
+// must not mutate it and must serialise reads with Apply.
 func (pr *Protector) Problem() *Problem { return pr.problem }
 
 // IndexBuilds reports how many times the session has built a motif index —
@@ -245,12 +245,7 @@ func (pr *Protector) Run(ctx context.Context, opts ...Option) (*Result, error) {
 	if s.engine != EngineRecount || s.method == MethodRD || s.method == MethodRDT {
 		// Baselines always need the index for their similarity trace.
 		if pr.ix == nil {
-			// The phase-1 graph is cached alongside the index so Apply can
-			// mutate both in step instead of recloning per delta.
-			if pr.phase1 == nil {
-				pr.phase1 = pr.problem.Phase1()
-			}
-			ix, err := motif.NewIndexWorkers(pr.phase1, pr.problem.Pattern, pr.problem.Targets, env.workers)
+			ix, err := motif.NewIndexWorkers(pr.problem.G, pr.problem.Pattern, pr.problem.Targets, env.workers)
 			if err != nil {
 				return nil, err
 			}
@@ -344,8 +339,8 @@ func (pr *Protector) divide(d Division, k int, env runEnv) ([]int, error) {
 }
 
 // Release materialises the released graph for a result of this session:
-// the original graph minus the targets (phase 1) minus the selected
-// protectors (phase 2). The input graph is never mutated.
+// a fresh copy of the phase-1 graph (the original minus the targets) minus
+// the selected protectors (phase 2).
 func (pr *Protector) Release(res *Result) *graph.Graph {
 	return pr.problem.ProtectedGraph(res.Protectors)
 }

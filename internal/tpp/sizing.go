@@ -4,7 +4,7 @@ package tpp
 // resident session reports an approximate byte footprint so a per-shard
 // memory budget can drive admission control and LRU spill of cold sessions
 // to their durable snapshots. The estimate counts the state a spill
-// actually releases — the graphs, the motif index and the warm-start
+// actually releases — the phase-1 graph, the motif index and the warm-start
 // selection — using the same sizing philosophy as the snapshot encoder
 // (reachable payload bytes, not Go object headers).
 
@@ -21,8 +21,8 @@ const sessionBaseBytes = 512
 const MinSessionBytes = sessionBaseBytes
 
 // MemFootprint returns the approximate resident byte footprint of the
-// session: the original graph, the cached phase-1 graph when one is built,
-// the motif index and the warm-start selection state.
+// session: its one graph (the phase-1 graph), the target list, the motif
+// index and the warm-start selection state.
 //
 // The cost does not grow with the graph: Graph.MemFootprint is O(1), kept
 // incrementally by the graph's mutations, and the index and warm-state
@@ -35,9 +35,6 @@ func (pr *Protector) MemFootprint() int64 {
 	b := int64(sessionBaseBytes)
 	b += pr.problem.G.MemFootprint()
 	b += int64(cap(pr.problem.Targets)) * 8
-	if pr.phase1 != nil && pr.phase1 != pr.problem.G {
-		b += pr.phase1.MemFootprint()
-	}
 	if pr.ix != nil {
 		b += pr.ix.MemFootprint()
 	}

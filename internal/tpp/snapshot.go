@@ -17,7 +17,7 @@ import (
 // a session's persistent state IS).
 //
 // A SessionState captures everything a Protector cannot recompute: the
-// original graph, the target list in priority order, the resolved session
+// phase-1 graph, the target list in priority order, the resolved session
 // options, the warm-start selection snapshot and the observability
 // counters. The motif index is deliberately NOT part of the state — it is
 // a pure function of (graph, pattern, targets) and rebuilding it on
@@ -50,8 +50,9 @@ type SessionState struct {
 	Seed     int64
 	WarmOff  bool
 
-	// Graph is the original graph, target links included. Targets is the
-	// target list in protection-priority order.
+	// Graph is the session's phase-1 graph: the original graph with every
+	// target link withheld. Targets is the target list in
+	// protection-priority order.
 	Graph   *graph.Graph
 	Targets []graph.Edge
 
@@ -177,10 +178,11 @@ func (pr *Protector) Snapshot(ctx context.Context) (*SessionState, error) {
 }
 
 // Restore reconstructs a Protector from a snapshot: it re-validates the
-// options and the targets-against-graph integrity (through the same
-// settings.validate and NewProblem a fresh session passes), rebuilds the
-// motif index when the snapshot recorded one, and fails with
-// ErrStateMismatch if the rebuild contradicts the recorded invariants.
+// options (through the same settings.validate a fresh session passes) and
+// the targets against the phase-1 graph (distinct node pairs, none of them
+// an edge of it), rebuilds the motif index when the snapshot recorded one,
+// and fails with ErrStateMismatch if the rebuild contradicts the recorded
+// invariants.
 // Restore takes ownership of st.Graph and st.Targets; the warm-selection
 // slices are copied, so one decoded state could be restored twice.
 //
@@ -202,18 +204,12 @@ func Restore(st *SessionState) (*Protector, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	problem, err := NewProblem(st.Graph, st.Pattern, st.Targets)
+	targets, err := canonicalTargets(st.Graph, st.Targets, false)
 	if err != nil {
 		return nil, err
 	}
-	pr := &Protector{
-		problem: problem,
-		base:    s,
-		runSlot: make(chan struct{}, 1),
-		// The graph came off disk; nothing else references it, so deltas
-		// may mutate it in place without the copy-on-write detach.
-		ownsGraph: true,
-	}
+	problem := &Problem{G: st.Graph, Pattern: st.Pattern, Targets: targets}
+	pr := &Protector{problem: problem, base: s, runSlot: make(chan struct{}, 1)}
 	pr.warmRuns.Store(st.WarmRuns)
 	pr.coldRuns.Store(st.ColdRuns)
 	pr.warmFallbacks.Store(st.WarmFallbacks)
@@ -223,8 +219,7 @@ func Restore(st *SessionState) (*Protector, error) {
 		// the recorded invariants: a snapshot whose graph or targets drifted
 		// from the index it described must not serve.
 		start := time.Now()
-		pr.phase1 = problem.Phase1()
-		ix, err := motif.NewIndexWorkers(pr.phase1, problem.Pattern, problem.Targets, normalizeWorkers(s.workers))
+		ix, err := motif.NewIndexWorkers(problem.G, problem.Pattern, problem.Targets, normalizeWorkers(s.workers))
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package tpp
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -173,22 +174,47 @@ func TestNewProblemValidation(t *testing.T) {
 	}
 }
 
+// originalGraph rebuilds a problem's original graph: a copy of its phase-1
+// graph with the target links added back. Fresh-session oracles start from
+// it, exactly as a caller holding the original graph would.
+func originalGraph(p *Problem) *graph.Graph {
+	g := p.G.Clone()
+	for _, t := range p.Targets {
+		g.AddEdgeE(t)
+	}
+	return g
+}
+
+// TestPhase1RemovesAllTargets: a Problem's G is the input graph minus
+// exactly the targets, and the input graph is left untouched.
 func TestPhase1RemovesAllTargets(t *testing.T) {
-	p, _ := fig2Problem(t)
-	g1 := p.Phase1()
+	fig2, _ := fig2Problem(t)
+	g := fig2.G.Clone()
+	for _, tgt := range fig2.Targets {
+		g.AddEdgeE(tgt)
+	}
+	before := g.Edges()
+	p, err := NewProblem(g, motif.Triangle, fig2.Targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g1 := p.G
 	for _, tgt := range p.Targets {
 		if g1.HasEdgeE(tgt) {
 			t.Fatalf("target %v survived phase 1", tgt)
 		}
 	}
-	if p.G.NumEdges() != g1.NumEdges()+len(p.Targets) {
+	if g.NumEdges() != g1.NumEdges()+len(p.Targets) {
 		t.Fatal("phase 1 removed non-target edges")
 	}
-	// Original graph untouched.
-	for _, tgt := range p.Targets {
-		if !p.G.HasEdgeE(tgt) {
-			t.Fatal("phase 1 mutated the original graph")
+	for _, e := range before {
+		if p.TargetIndex(e) < 0 && !g1.HasEdgeE(e) {
+			t.Fatalf("phase 1 lost non-target edge %v", e)
 		}
+	}
+	// Original graph untouched.
+	if !slices.Equal(g.Edges(), before) {
+		t.Fatal("phase 1 mutated the original graph")
 	}
 }
 
@@ -357,7 +383,7 @@ func TestPropertyMonotonicity(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			g1 := p.Phase1()
+			g1 := p.G
 			edges := g1.Edges()
 			rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 			nA := rng.Intn(4)
@@ -395,7 +421,7 @@ func TestPropertySubmodularity(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			g1 := p.Phase1()
+			g1 := p.G
 			edges := g1.Edges()
 			rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 			if len(edges) < 3 {
@@ -561,7 +587,7 @@ func TestPropertyBudgetDivisionFeasible(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		_, per := motif.CountAll(p.Phase1(), motif.Triangle, p.Targets)
+		_, per := motif.CountAll(p.G, motif.Triangle, p.Targets)
 		sumT, sumD := 0, 0
 		for i := range targets {
 			if tbd[i] > per[i] || tbd[i] < 0 || dbd[i] < 0 {
@@ -595,7 +621,7 @@ func TestBaselinesRespectBudget(t *testing.T) {
 		t.Fatalf("RDT deleted %d, want 3", len(rdt.Protectors))
 	}
 	// RDT draws only from target-subgraph edges.
-	ix, _ := motif.NewIndex(p.Phase1(), p.Pattern, p.Targets)
+	ix, _ := motif.NewIndex(p.G, p.Pattern, p.Targets)
 	universe := make(map[graph.Edge]bool)
 	for _, e := range ix.AllTouchedEdges() {
 		universe[e] = true

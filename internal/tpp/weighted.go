@@ -48,7 +48,7 @@ func WeightedSGBGreedy(p *Problem, k int, weights []float64) (*WeightedResult, e
 			return nil, fmt.Errorf("tpp: negative weight %v for target %v (submodularity requires w ≥ 0)", w, p.Targets[i])
 		}
 	}
-	ix, err := motif.NewIndex(p.Phase1(), p.Pattern, p.Targets)
+	ix, err := motif.NewIndex(p.G, p.Pattern, p.Targets)
 	if err != nil {
 		return nil, err
 	}
