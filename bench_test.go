@@ -1,17 +1,16 @@
 // Package repro's top-level benchmarks regenerate every evaluation
 // artefact of the TPP paper (one benchmark per figure and table) and
-// measure the ablations called out in DESIGN.md §6.
+// measure the ablations below.
 //
 // The figure/table benchmarks run the experiment protocol at CI scale
 // (QuickConfig); `go run ./cmd/tppbench -full` regenerates them at paper
 // scale. The ablation benchmarks isolate individual design choices:
-// Lemma 5 candidate restriction, inverted index vs naive recount, TBD vs
-// DBD budget division, and the parallel recount scan.
+// Lemma 5 candidate restriction, inverted index vs naive recount, and TBD
+// vs DBD budget division.
 package repro
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"math/rand"
 	"strings"
@@ -104,7 +103,7 @@ func BenchmarkTable5UtilityLossDBLP(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §6) ----------------------------------------------
+// --- Ablations ---------------------------------------------------------------
 
 // benchProblem builds a mid-size TPP instance shared by the ablations and
 // returns it with its original graph.
@@ -192,24 +191,6 @@ func BenchmarkAblationBudgetDivision(b *testing.B) {
 	}
 }
 
-// Ablation 4: parallel recount scan versus serial at equal semantics. The
-// all-edges scope is the regime where the per-step candidate scan
-// dominates and parallelism pays; the restricted scope is bottlenecked on
-// the serial candidate re-enumeration instead. WithWorkers clamps to
-// GOMAXPROCS, so on a host with fewer CPUs than a case's worker count that
-// case runs with GOMAXPROCS workers.
-func BenchmarkAblationParallelScan(b *testing.B) {
-	g, p := benchProblem(b, motif.Triangle)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				benchRun(b, g, p, tpp.WithEngine(tpp.EngineRecount), tpp.WithScope(tpp.ScopeAllEdges),
-					tpp.WithWorkers(workers), tpp.WithBudget(3))
-			}
-		})
-	}
-}
-
 // --- Extension experiments ---------------------------------------------------
 
 func BenchmarkExt1StructuralComparison(b *testing.B) {
@@ -225,19 +206,6 @@ func BenchmarkExt2KatzDefense(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
 		if _, err := cfg.Ext2KatzDefense(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWeightedSGBGreedy(b *testing.B) {
-	_, p := benchProblem(b, motif.Rectangle)
-	weights := make([]float64, len(p.Targets))
-	for i := range weights {
-		weights[i] = float64(i%3) + 0.5
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := tpp.WeightedSGBGreedy(p, 8, weights); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -50,7 +50,7 @@ func run(args []string, errw io.Writer) error {
 		division    = fs.String("division", "tbd", "budget division for ct/wt: tbd or dbd")
 		k           = fs.Int("k", 0, "deletion budget (0 = critical budget k*)")
 		seed        = fs.Int64("seed", 1, "random seed for rd/rdt baselines")
-		workers     = fs.Int("workers", 0, "parallelism: index enumeration workers, and with -engine recount -method sgb the candidate-scan workers (0 = auto)")
+		workers     = fs.Int("workers", 0, "index enumeration workers; selection scans are serial (0 = auto)")
 		engine      = fs.String("engine", "", "gain engine: indexed (default; lazy is an alias), recount")
 		report      = fs.Bool("report", true, "print a defense report against all link-prediction indices")
 		timeout     = fs.Duration("timeout", 0, "abort selection after this long (0 = no limit)")

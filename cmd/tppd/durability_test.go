@@ -27,7 +27,7 @@ func durableTestConfig(dir string) Config {
 func newDurableTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, int, int) {
 	t.Helper()
 	srv, ts := startTestServer(t, cfg)
-	st := srv.stats.snapshot()
+	st := srv.metrics.snapshot()
 	return srv, ts, int(st.SessionsRehydrated), int(st.SessionsQuarantined)
 }
 

@@ -147,7 +147,7 @@ func main() {
 		log.Fatalf("tppd: %v", err)
 	}
 	if *dataDir != "" {
-		st := service.stats.snapshot()
+		st := service.metrics.snapshot()
 		log.Printf("tppd: durability on (%s): %d sessions rehydrated, %d quarantined",
 			*dataDir, st.SessionsRehydrated, st.SessionsQuarantined)
 	}

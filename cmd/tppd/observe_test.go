@@ -185,6 +185,8 @@ func TestRequestLogFields(t *testing.T) {
 		Duration  float64 `json:"duration_ms"`
 		Session   string  `json:"session"`
 		Engine    string  `json:"engine"`
+		Method    string  `json:"tpp_method"`
+		Pattern   string  `json:"pattern"`
 		Stages    struct {
 			Enumerate  float64 `json:"enumerate_ms"`
 			ColdSelect float64 `json:"cold_select_ms"`
@@ -217,6 +219,14 @@ func TestRequestLogFields(t *testing.T) {
 	if create.Route != "POST /v1/sessions" || create.Status != http.StatusCreated || create.Session != id {
 		t.Errorf("create line = route %q status %d session %q, want POST /v1/sessions 201 %q",
 			create.Route, create.Status, create.Session, id)
+	}
+	// Both lines say what ran: the create resolves the session's defaults,
+	// the protect inherits the session's pattern.
+	if create.Method != "sgb" || create.Pattern != "Triangle" {
+		t.Errorf("create line tpp_method %q pattern %q, want sgb Triangle", create.Method, create.Pattern)
+	}
+	if protect.Pattern != "Triangle" {
+		t.Errorf("protect line pattern = %q, want Triangle", protect.Pattern)
 	}
 	if protect.Route != "POST /v1/sessions/{id}/protect" || protect.Status != http.StatusOK {
 		t.Errorf("protect line = route %q status %d, want the protect route and 200", protect.Route, protect.Status)

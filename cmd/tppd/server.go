@@ -48,7 +48,6 @@ type Server struct {
 	handler  http.Handler // route table inside the instrument middleware
 	registry *telemetry.Registry
 	metrics  *serverMetrics
-	stats    serverStats // façade deriving /v1/stats from metrics
 
 	logger   *slog.Logger
 	slowReq  time.Duration // log requests slower than this at Warn (0 disables)
@@ -93,7 +92,6 @@ func NewServer(cfg Config) (*Server, error) {
 		func() float64 { return float64(s.sessions.slotsInUse()) },
 		func() float64 { return float64(s.sessions.slotsLimit()) },
 	)
-	s.stats = serverStats{m: s.metrics}
 	if cfg.DataDir != "" {
 		store, err := durable.Open(cfg.DataDir, durable.Options{
 			SyncWrites:   cfg.WALSync,
@@ -310,10 +308,9 @@ type protectRequest struct {
 	Engine   string `json:"engine,omitempty"`   // indexed (default; "lazy" is an alias), recount
 	Budget   int    `json:"budget,omitempty"`   // 0 = critical budget k*
 	Seed     int64  `json:"seed,omitempty"`     // rd/rdt randomness and target sampling
-	// Workers sets the selection parallelism: index enumeration workers,
-	// and for sgb under the recount engine the per-step candidate-scan
-	// workers (ct/wt scans stay serial). 0 = auto; values above the
-	// server's CPU count are clamped.
+	// Workers sets how many workers enumerate the motif index; selection
+	// scans are always serial. 0 = auto; values above the server's CPU
+	// count are clamped.
 	Workers int `json:"workers,omitempty"`
 
 	// TimeoutMS bounds this request's selection time; 0 uses the server
@@ -407,7 +404,8 @@ func (s *Server) handleProtect(w http.ResponseWriter, r *http.Request) {
 	s.metrics.inflightRuns.Add(1)
 	res, err := session.Run(ctx)
 	s.metrics.inflightRuns.Add(-1)
-	s.stats.record(session)
+	// A fresh record's fold baseline is zero: the session's whole count.
+	s.recordSessionStats(&sessionRecord{session: session})
 	if err != nil {
 		writeRunError(w, err)
 		return
@@ -448,7 +446,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
 // live right now, how many motif-index enumerations were performed and how
 // long they took (enumeration dominates request cost, so these timings are
 // the service's main capacity signal). Every field derives from the same
-// registry instruments GET /metrics exports (see serverStats); the
+// registry instruments GET /metrics exports (see serverMetrics.snapshot); the
 // *_last_ms fields carry the histograms' running mean rather than the old
 // race-prone last-write value — same JSON shape, race-free source.
 type statsResponse struct {
@@ -515,7 +513,7 @@ type statsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	resp := s.stats.snapshot()
+	resp := s.metrics.snapshot()
 	resp.SessionsOpen = s.sessions.open()
 	resp.MaxWorkers = runtime.GOMAXPROCS(0)
 	resp.MaxConcurrentInUse = s.sessions.slotsInUse()

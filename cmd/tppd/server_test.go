@@ -306,9 +306,9 @@ func TestConcurrentRequests(t *testing.T) {
 	}
 }
 
-// TestProtectWithWorkers covers the parallel selection path end to end:
-// workers > 1 must succeed for every engine and select exactly the same
-// protectors as the serial run.
+// TestProtectWithWorkers covers the workers field end to end: workers > 1
+// must succeed for every engine and select exactly the same protectors,
+// under the same method label, as the serial run.
 func TestProtectWithWorkers(t *testing.T) {
 	ts := newTestServer(t)
 	var want *protectResponse
@@ -341,6 +341,9 @@ func TestProtectWithWorkers(t *testing.T) {
 		if !reflect.DeepEqual(out.Protectors, want.Protectors) {
 			t.Fatalf("engine %s workers %d: protectors %v, want %v",
 				tc.engine, tc.workers, out.Protectors, want.Protectors)
+		}
+		if out.Method != want.Method {
+			t.Fatalf("engine %s workers %d: method %q, want %q", tc.engine, tc.workers, out.Method, want.Method)
 		}
 	}
 	// Negative workers are a client mistake.

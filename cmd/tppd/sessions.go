@@ -551,6 +551,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
+	annotateScope(r.Context(), &req, opts)
 	// The id is fixed before any work happens: the session's home shard —
 	// whose work queue bounds this request and whose budget must admit the
 	// session — is a pure function of the id. A router running ahead of the
@@ -1056,6 +1057,7 @@ func (s *Server) handleSessionProtect(w http.ResponseWriter, r *http.Request) {
 	if sc := scopeFrom(r.Context()); sc != nil {
 		sc.method = req.Method
 		sc.engine = req.Engine
+		sc.pattern = rec.pattern
 	}
 
 	s.metrics.protectRequests.Inc()

@@ -3,6 +3,7 @@ package dynamic
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/datasets"
@@ -37,6 +38,7 @@ func checkIndexParity(t *testing.T, got, want *motif.Index) {
 	if len(gotEdges) != len(wantEdges) {
 		t.Fatalf("universe size: got %d, want %d", len(gotEdges), len(wantEdges))
 	}
+	gotBuf, wantBuf := make([]int, len(ws)), make([]int, len(ws))
 	for i, e := range wantEdges {
 		if gotEdges[i] != e {
 			t.Fatalf("universe edge %d: got %v, want %v", i, gotEdges[i], e)
@@ -44,12 +46,10 @@ func checkIndexParity(t *testing.T, got, want *motif.Index) {
 		if g, w := got.Gain(e), want.Gain(e); g != w {
 			t.Fatalf("gain(%v): got %d, want %d", e, g, w)
 		}
-		for ti := range ws {
-			gw, gt := got.GainForTarget(e, ti)
-			ww, wt := want.GainForTarget(e, ti)
-			if gw != ww || gt != wt {
-				t.Fatalf("gainForTarget(%v, %d): got (%d,%d), want (%d,%d)", e, ti, gw, gt, ww, wt)
-			}
+		gv, gt := got.GainVectorIDInto(got.Interner().ID(e), gotBuf)
+		wv, wt := want.GainVectorIDInto(want.Interner().ID(e), wantBuf)
+		if gt != wt || !slices.Equal(gv, wv) {
+			t.Fatalf("per-target gains of %v: got %v (total %d), want %v (total %d)", e, gv, gt, wv, wt)
 		}
 	}
 	// Greedy drain: the argmax sequences must match step for step.
@@ -102,7 +102,7 @@ func TestApplyParityRandomStreams(t *testing.T) {
 				}
 				for step := 0; step < 25; step++ {
 					ins, rem := churn.Next(1 + rng.Intn(7))
-					st, err := ix.ApplyDelta(churn.Graph(), ins, rem)
+					st, err := ix.ApplyMutation(churn.Graph(), motif.Mutation{Inserted: ins, Removed: rem})
 					if err != nil {
 						t.Fatalf("step %d: %v", step, err)
 					}
@@ -153,7 +153,7 @@ func TestApplyParityPureRemoval(t *testing.T) {
 				if len(ins) != 0 {
 					t.Fatalf("step %d: removal-only churn inserted %v", step, ins)
 				}
-				st, err := ix.ApplyDelta(churn.Graph(), ins, rem)
+				st, err := ix.ApplyMutation(churn.Graph(), motif.Mutation{Inserted: ins, Removed: rem})
 				if err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
@@ -170,7 +170,7 @@ func TestApplyParityPureRemoval(t *testing.T) {
 	}
 }
 
-// TestApplyParityMidSelection pins down that ApplyDelta discards recorded
+// TestApplyParityMidSelection pins down that ApplyMutation discards recorded
 // protector deletions, exactly like a fresh build: applying a delta to an
 // index that is mid-selection yields the fully-alive state of the mutated
 // graph.
@@ -193,7 +193,7 @@ func TestApplyParityMidSelection(t *testing.T) {
 		}
 	}
 	ins, rem := churn.Next(6)
-	if _, err := ix.ApplyDelta(churn.Graph(), ins, rem); err != nil {
+	if _, err := ix.ApplyMutation(churn.Graph(), motif.Mutation{Inserted: ins, Removed: rem}); err != nil {
 		t.Fatal(err)
 	}
 	fresh, err := motif.NewIndex(churn.Graph(), motif.Triangle, targets)

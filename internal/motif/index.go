@@ -228,7 +228,7 @@ func enumerateInto(g *graph.Graph, pattern Pattern, targets []graph.Edge, indice
 // build wires the index's entire flat state — interned edge universe,
 // merged instance table, CSR incidences, gains, deletion bitset and gain
 // heap — from per-target raw instance buffers. It is shared by NewIndexWorkers
-// (buffers fresh from a full enumeration) and ApplyDelta (buffers stitched
+// (buffers fresh from a full enumeration) and ApplyMutation (buffers stitched
 // from surviving and re-enumerated instances): identical buffers produce
 // identical state, which is what the incremental path's bit-for-bit parity
 // guarantee rests on. Any previously recorded protector deletions are
@@ -290,7 +290,7 @@ func (ix *Index) build(byTarget [][]rawInstance) {
 // ix.gain, which must already hold the interned universe, the resolved
 // instance table and the per-edge alive counts (the build-time gains double
 // as CSR row lengths). Shared by the full builder and the pure-removal
-// fast path of ApplyDelta.
+// fast path of ApplyMutation.
 func (ix *Index) wireFlat() {
 	ne := ix.in.NumEdges()
 	ix.deleted = make([]uint64, (ne+63)/64)
@@ -373,36 +373,6 @@ func (ix *Index) Gain(p graph.Edge) int {
 	return int(ix.gain[id])
 }
 
-// GainForTargetID splits Δ_p^t for CT/WT greedy: within = alive instances
-// of target ti containing the edge; total = alive instances of any target
-// containing it. The paper's Δ_p^t = within + (total − within)/C; with C
-// large this is a lexicographic (within, total) ordering, which is how we
-// compare.
-//
-//tpp:hotpath
-func (ix *Index) GainForTargetID(id graph.EdgeID, ti int) (within, total int) {
-	for _, instID := range ix.instIDs[ix.instStart[id]:ix.instStart[id+1]] {
-		in := &ix.inst[instID]
-		if in.dead {
-			continue
-		}
-		total++
-		if int(in.target) == ti {
-			within++
-		}
-	}
-	return within, total
-}
-
-// GainForTarget is GainForTargetID keyed by edge.
-func (ix *Index) GainForTarget(p graph.Edge, ti int) (within, total int) {
-	id := ix.in.ID(p)
-	if id == graph.NoEdge {
-		return 0, 0
-	}
-	return ix.GainForTargetID(id, ti)
-}
-
 // GainVectorIDInto writes the per-target marginal gains of deleting the
 // edge into buf (len(buf) must be the target count) and returns (buf,
 // total), or (nil, 0) when the edge touches no alive instance — without
@@ -428,28 +398,6 @@ func (ix *Index) GainVectorIDInto(id graph.EdgeID, buf []int) (perTarget []int, 
 		return nil, 0
 	}
 	return buf, total
-}
-
-// GainVector returns the per-target marginal gains of deleting p (alive
-// instances of each target containing p, indexed by target position) plus
-// the total. The slice is freshly allocated only when p touches at least
-// one alive instance; otherwise it returns (nil, 0).
-func (ix *Index) GainVector(p graph.Edge) (perTarget []int, total int) {
-	id := ix.in.ID(p)
-	if id == graph.NoEdge {
-		return nil, 0
-	}
-	return ix.GainVectorIDInto(id, make([]int, len(ix.targets)))
-}
-
-// DeletedID reports whether the edge with the given id was already deleted
-// through the index.
-func (ix *Index) DeletedID(id graph.EdgeID) bool { return ix.isDeleted(id) }
-
-// Deleted is DeletedID keyed by edge.
-func (ix *Index) Deleted(p graph.Edge) bool {
-	id := ix.in.ID(p)
-	return id != graph.NoEdge && ix.isDeleted(id)
 }
 
 // DeleteEdgeID records the deletion of the protector with the given id,
@@ -570,24 +518,6 @@ func (ix *Index) AllTouchedEdges() []graph.Edge {
 	out := make([]graph.Edge, ix.in.NumEdges())
 	for id := range out {
 		out[id] = ix.in.Edge(graph.EdgeID(id))
-	}
-	return out
-}
-
-// InstancesOfTarget returns copies of the alive instances owned by target
-// ti, for inspection and tests.
-func (ix *Index) InstancesOfTarget(ti int) []Instance {
-	var out []Instance
-	for i := range ix.inst {
-		in := &ix.inst[i]
-		if in.dead || int(in.target) != ti {
-			continue
-		}
-		edges := make([]graph.Edge, in.ne)
-		for j, id := range in.edges[:in.ne] {
-			edges[j] = ix.in.Edge(id)
-		}
-		out = append(out, Instance{Target: in.target, Edges: edges})
 	}
 	return out
 }

@@ -107,25 +107,16 @@ type Scratch struct {
 	edges [4]graph.Edge  // emission buffer passed to visit
 }
 
-// EnumerateTarget lists every instance of pattern completing target
+// EnumerateTargetScratch lists every instance of pattern completing target
 // t = (u, v) in g. g must be the phase-1 graph: all target links already
 // removed, so instances never contain a target link and W_t sets are
 // disjoint across targets by construction.
 //
 // The visit callback receives the edges of each instance; the slice is
 // reused between calls and must not be retained. Instances are visited in
-// a deterministic order (ascending by the intermediate nodes).
-//
-// This convenience form allocates a fresh Scratch per call; hot loops use
-// EnumerateTargetScratch with a per-worker Scratch instead.
-func EnumerateTarget(g *graph.Graph, pattern Pattern, t graph.Edge, visit func(edges []graph.Edge)) {
-	var sc Scratch
-	EnumerateTargetScratch(g, pattern, t, &sc, visit)
-}
-
-// EnumerateTargetScratch is EnumerateTarget with caller-owned scratch
-// buffers: in the steady state (warm scratch) enumeration performs no
-// per-visit or per-pair allocations.
+// a deterministic order (ascending by the intermediate nodes). sc is
+// caller-owned scratch: in the steady state (warm scratch) enumeration
+// performs no per-visit or per-pair allocations.
 func EnumerateTargetScratch(g *graph.Graph, pattern Pattern, t graph.Edge, sc *Scratch, visit func(edges []graph.Edge)) {
 	enumerate(g, pattern, t, sc, visit)
 }
@@ -134,7 +125,7 @@ func EnumerateTargetScratch(g *graph.Graph, pattern Pattern, t graph.Edge, sc *S
 // walks every instance of pattern completing t via merge-joins over the
 // graph's sorted neighbor rows, calls visit (when non-nil) per instance,
 // and returns the instance count. Keeping one kernel guarantees Count and
-// EnumerateTarget can never disagree.
+// EnumerateTargetScratch can never disagree.
 //
 //tpp:hotpath
 func enumerate(g *graph.Graph, pattern Pattern, t graph.Edge, sc *Scratch, visit func(edges []graph.Edge)) int {

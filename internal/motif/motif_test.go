@@ -206,13 +206,14 @@ func TestIndexGainForTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, tot := ix.GainForTarget(graph.NewEdge(0, 2), 0)
-	if w != 1 || tot != 2 {
-		t.Fatalf("GainForTarget(0-2, t0) = (%d,%d), want (1,2)", w, tot)
+	buf := make([]int, ix.NumTargets())
+	per, tot := ix.GainVectorIDInto(ix.Interner().ID(graph.NewEdge(0, 2)), buf)
+	if tot != 2 || per[0] != 1 {
+		t.Fatalf("gains of 0-2 = %v (total %d), want t0 = 1 of 2", per, tot)
 	}
-	w, tot = ix.GainForTarget(graph.NewEdge(1, 2), 0)
-	if w != 1 || tot != 1 {
-		t.Fatalf("GainForTarget(1-2, t0) = (%d,%d), want (1,1)", w, tot)
+	per, tot = ix.GainVectorIDInto(ix.Interner().ID(graph.NewEdge(1, 2)), buf)
+	if tot != 1 || per[0] != 1 {
+		t.Fatalf("gains of 1-2 = %v (total %d), want t0 = 1 of 1", per, tot)
 	}
 }
 

@@ -12,113 +12,6 @@ import (
 	"repro/internal/motif"
 )
 
-// --- Weighted TPP -----------------------------------------------------------
-
-func TestWeightedValidation(t *testing.T) {
-	p, _ := fig2Problem(t)
-	if _, err := WeightedSGBGreedy(p, -1, make([]float64, len(p.Targets))); err == nil {
-		t.Fatal("negative budget accepted")
-	}
-	if _, err := WeightedSGBGreedy(p, 2, []float64{1}); err == nil {
-		t.Fatal("weight length mismatch accepted")
-	}
-	bad := make([]float64, len(p.Targets))
-	bad[0] = -0.5
-	if _, err := WeightedSGBGreedy(p, 2, bad); err == nil {
-		t.Fatal("negative weight accepted")
-	}
-}
-
-// With unit weights the weighted greedy must match plain SGB exactly.
-func TestPropertyWeightedUnitEqualsUnweighted(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := gen.BarabasiAlbertTriad(25, 3, 0.5, rng)
-		targets := datasets.SampleTargets(g, 4, rng)
-		p, err := NewProblem(g, motif.Triangle, targets)
-		if err != nil {
-			return false
-		}
-		ones := make([]float64, len(targets))
-		for i := range ones {
-			ones[i] = 1
-		}
-		w, err := WeightedSGBGreedy(p, 5, ones)
-		if err != nil {
-			return false
-		}
-		u, err := sgbGreedy(p, 5, options{Engine: EngineIndexed}, runEnv{})
-		if err != nil {
-			return false
-		}
-		if len(w.Protectors) != len(u.Protectors) {
-			return false
-		}
-		for i := range w.Protectors {
-			if w.Protectors[i] != u.Protectors[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// A heavily weighted target gets protected first: give one target weight
-// 100 and the rest ~0, and the first deletions must break its subgraphs.
-func TestWeightedPrioritisesHeavyTarget(t *testing.T) {
-	p, edges := fig2Problem(t)
-	weights := make([]float64, len(p.Targets))
-	for i := range weights {
-		weights[i] = 0.01
-	}
-	heavy := p.TargetIndex(edges["t5"]) // t5 has one triangle {rw, p3}
-	weights[heavy] = 100
-	res, err := WeightedSGBGreedy(p, 1, weights)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PerTargetFinal[heavy] != 0 {
-		t.Fatalf("heavy target not protected first: per-target %v, picked %v",
-			res.PerTargetFinal, res.Protectors)
-	}
-	if res.WeightedDissimilarity() < 100 {
-		t.Fatalf("weighted gain %v, want ≥ 100", res.WeightedDissimilarity())
-	}
-}
-
-// Weighted objective trace is non-increasing (monotone under deletion).
-func TestPropertyWeightedTraceMonotone(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := gen.BarabasiAlbertTriad(25, 3, 0.5, rng)
-		targets := datasets.SampleTargets(g, 4, rng)
-		p, err := NewProblem(g, motif.Rectangle, targets)
-		if err != nil {
-			return false
-		}
-		weights := make([]float64, len(targets))
-		for i := range weights {
-			weights[i] = rng.Float64() * 5
-		}
-		res, err := WeightedSGBGreedy(p, 6, weights)
-		if err != nil {
-			return false
-		}
-		for i := 1; i < len(res.WeightedTrace); i++ {
-			if res.WeightedTrace[i] > res.WeightedTrace[i-1]+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // --- MLBT approximation bounds (Theorems 4 and 5) ---------------------------
 
 // CT-Greedy achieves ≥ 1/2 of the partition-matroid optimum; WT-Greedy

@@ -24,7 +24,7 @@
 // their scalable -R variants (Lemma 5 candidate restriction), under either
 // the paper's recount cost model or the inverted-index engine. The package
 // also exports the TBD and DBD budget division strategies, the RD/RDT
-// baselines (which take the caller's RNG), the weighted, Katz and guard
+// baselines (which take the caller's RNG), the node-target, Katz and guard
 // extensions, and brute-force optima for verifying approximation bounds on
 // small instances.
 package tpp
@@ -204,4 +204,17 @@ func (r *Result) ElapsedAt(k int) time.Duration {
 		k = len(r.StepElapsed)
 	}
 	return r.StepElapsed[k-1]
+}
+
+// NodeTargets returns every link incident to node v — the target set for
+// *target node* privacy (paper future work #2): hiding a node's entire
+// relationship neighbourhood, e.g. an undercover account. Protecting these
+// targets makes every tie of v unpredictable by the chosen motif.
+func NodeTargets(g *graph.Graph, v graph.NodeID) []graph.Edge {
+	nbrs := g.NeighborsView(v) // consumed before any mutation can occur
+	out := make([]graph.Edge, 0, len(nbrs))
+	for _, w := range nbrs {
+		out = append(out, graph.NewEdge(v, w))
+	}
+	return out
 }

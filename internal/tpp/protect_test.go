@@ -1,7 +1,6 @@
 package tpp
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -92,45 +91,5 @@ func TestProtectErrors(t *testing.T) {
 	}
 	if _, err := session.Run(ctx, WithMethod(MethodCT), WithDivision("bogus"), WithBudget(2)); !errors.Is(err, ErrUnknownDivision) {
 		t.Fatalf("unknown division: err = %v, want ErrUnknownDivision", err)
-	}
-}
-
-func TestResultJSONRoundTrip(t *testing.T) {
-	p, _ := fig2Problem(t)
-	res, err := sgbGreedy(p, 2, options{Engine: EngineIndexed}, runEnv{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadResultJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Method != res.Method {
-		t.Fatalf("method %q != %q", back.Method, res.Method)
-	}
-	if !reflect.DeepEqual(back.Protectors, res.Protectors) {
-		t.Fatalf("protectors differ: %v vs %v", back.Protectors, res.Protectors)
-	}
-	if !reflect.DeepEqual(back.SimilarityTrace, res.SimilarityTrace) {
-		t.Fatal("traces differ")
-	}
-	if back.Elapsed != res.Elapsed || len(back.StepElapsed) != len(res.StepElapsed) {
-		t.Fatal("timings differ")
-	}
-}
-
-func TestResultJSONRejectsCorrupt(t *testing.T) {
-	for _, in := range []string{
-		`{`, // malformed
-		`{"method":"x","protectors":[[1,1]],"similarity_trace":[2,1]}`,   // self loop
-		`{"method":"x","protectors":[[0,1]],"similarity_trace":[3,2,1]}`, // trace mismatch
-	} {
-		if _, err := ReadResultJSON(bytes.NewReader([]byte(in))); err == nil {
-			t.Fatalf("corrupt input accepted: %s", in)
-		}
 	}
 }

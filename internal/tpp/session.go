@@ -14,9 +14,9 @@ import (
 )
 
 // normalizeWorkers resolves a WithWorkers value: non-positive means auto
-// (0, deferred to the index builder / serial scans), anything above
-// GOMAXPROCS is clamped — more workers than CPUs only costs per-worker
-// graph copies in the parallel recount scan.
+// (0, deferred to the index builder), anything above GOMAXPROCS is clamped
+// — enumeration workers beyond the CPU count only add goroutines and
+// scratch buffers.
 func normalizeWorkers(n int) int {
 	if n <= 0 {
 		return 0
@@ -142,13 +142,11 @@ func WithEngine(e Engine) Option { return func(s *settings) { s.engine = e } }
 // ScopeTargetSubgraphs, the paper's -R restriction — exact and faster).
 func WithScope(sc Scope) Option { return func(s *settings) { s.scope = sc } }
 
-// WithWorkers sets the parallelism of a run (default 0 = auto). Index
-// enumeration shards targets across the workers (auto = GOMAXPROCS), and
-// with the recount engine a worker count above 1 parallelises the per-step
-// SGB candidate scan as well (auto keeps the scan serial, preserving the
-// paper's single-threaded cost model unless parallelism is explicitly
-// requested). Selections are identical for every worker count; values
-// above GOMAXPROCS are clamped to it.
+// WithWorkers sets how many workers enumerate the motif index, sharding the
+// targets among them (default 0 = auto, GOMAXPROCS); values above
+// GOMAXPROCS are clamped to it. Selection scans are always serial — under
+// EngineRecount that is the paper's single-threaded cost model — and
+// selections are identical for every worker count.
 func WithWorkers(n int) Option { return func(s *settings) { s.workers = n } }
 
 // WithSeed seeds the random baselines. Only MethodRD and MethodRDT consume

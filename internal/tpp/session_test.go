@@ -414,7 +414,8 @@ func TestIndexResetRestoresBuildState(t *testing.T) {
 	wantTotal := ix.TotalSimilarity()
 	wantSims := ix.Similarities()
 	wantCands := ix.CandidateEdges()
-	for _, e := range wantCands[:min(4, len(wantCands))] {
+	deleted := wantCands[:min(4, len(wantCands))]
+	for _, e := range deleted {
 		ix.DeleteEdge(e)
 	}
 	if ix.TotalSimilarity() == wantTotal {
@@ -430,8 +431,11 @@ func TestIndexResetRestoresBuildState(t *testing.T) {
 	if got := ix.CandidateEdges(); !reflect.DeepEqual(got, wantCands) {
 		t.Fatalf("candidates after Reset differ")
 	}
-	for _, e := range wantCands {
-		if ix.Deleted(e) {
+	// A deletion mark that survived Reset would turn a re-deletion into a
+	// no-op; a cleared one breaks exactly the edge's gain in instances.
+	for _, e := range deleted {
+		ix.Reset()
+		if gain := ix.Gain(e); ix.DeleteEdge(e) != gain {
 			t.Fatalf("edge %v still marked deleted after Reset", e)
 		}
 	}

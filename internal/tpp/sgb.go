@@ -18,11 +18,6 @@ func sgbGreedy(p *Problem, k int, opt options, env runEnv) (*Result, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("%w: %d", ErrNegativeBudget, k)
 	}
-	if opt.Engine == EngineRecount && env.workers > 1 {
-		// The recount argmax scan is the one regime where a parallel scan
-		// pays; selections are bit-identical to the serial loop below.
-		return sgbGreedyParallel(p, k, opt.Scope, env.workers, env)
-	}
 	ev, err := env.evaluator(p, opt)
 	if err != nil {
 		return nil, err
