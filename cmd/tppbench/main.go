@@ -29,7 +29,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("tppbench", flag.ContinueOnError)
 	var (
 		full   = fs.Bool("full", false, "paper-scale datasets (1133-node Arenas, 30k-node DBLP stand-in)")
-		exp    = fs.String("exp", "all", "which artefact: fig3, fig4, fig5, fig6, tab3, tab4, tab5, ext1..ext4, stages or all")
+		exp    = fs.String("exp", "all", "which artefact: fig3, fig4, fig5, fig6, tab3, tab4, tab5, ext1..ext4 or all")
 		csvDir = fs.String("csv", "", "directory for CSV output (created if missing)")
 		seed   = fs.Int64("seed", 1, "master random seed")
 		reps   = fs.Int("reps", 0, "target samplings per point (0 = config default)")
@@ -89,10 +89,6 @@ func run(args []string) error {
 	case "ext4":
 		_, err := cfg.Ext4DPComparison(2.0)
 		return err
-	case "stages":
-		// Not a paper artefact: a pipeline-timing demo on the evolving
-		// workload, printed from the same stage recorder tppd exports.
-		return runStages(os.Stdout, *full, *seed)
 	}
 	return fmt.Errorf("unknown experiment %q", *exp)
 }

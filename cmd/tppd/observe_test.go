@@ -170,9 +170,23 @@ func TestRequestLogFields(t *testing.T) {
 	cfg.Logger = slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
 	_, ts := startTestServer(t, cfg)
 
-	id := createQuickstartSession(t, ts)
+	// Both calls spell the engine "lazy", an alias of indexed: the log must
+	// name the engine that ran, not the spelling sent.
+	resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", protectRequest{
+		Edges:   quickstartEdges,
+		Targets: [][2]string{{"0", "5"}, {"2", "7"}},
+		Engine:  "lazy",
+	})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: status %d: %s", resp.StatusCode, body)
+	}
+	var info sessionResponse
+	if err := json.Unmarshal(body, &info); err != nil {
+		t.Fatal(err)
+	}
+	id := info.ID
 	if resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+id+"/protect",
-		sessionProtectRequest{OmitReleased: true, Engine: "indexed"}); resp.StatusCode != http.StatusOK {
+		sessionProtectRequest{OmitReleased: true, Engine: "lazy"}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("protect: status %d: %s", resp.StatusCode, body)
 	}
 
@@ -222,8 +236,9 @@ func TestRequestLogFields(t *testing.T) {
 	}
 	// Both lines say what ran: the create resolves the session's defaults,
 	// the protect inherits the session's pattern.
-	if create.Method != "sgb" || create.Pattern != "Triangle" {
-		t.Errorf("create line tpp_method %q pattern %q, want sgb Triangle", create.Method, create.Pattern)
+	if create.Method != "sgb" || create.Pattern != "Triangle" || create.Engine != "indexed" {
+		t.Errorf("create line tpp_method %q pattern %q engine %q, want sgb Triangle indexed",
+			create.Method, create.Pattern, create.Engine)
 	}
 	if protect.Pattern != "Triangle" {
 		t.Errorf("protect line pattern = %q, want Triangle", protect.Pattern)

@@ -80,6 +80,27 @@ func TestRouterSessionAffinity(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("protect via router: status %d: %s", resp.StatusCode, body)
 		}
+		resp, body = doJSON(t, http.MethodGet, rts.URL+"/v1/sessions/"+info.ID, nil)
+		var got sessionResponse
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("get via router: status %d: %s", resp.StatusCode, body)
+		}
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.ID != info.ID {
+			t.Fatalf("get via router: id %q, want %q", got.ID, info.ID)
+		}
+		resp, body = doJSON(t, http.MethodDelete, rts.URL+"/v1/sessions/"+info.ID, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("delete via router: status %d: %s", resp.StatusCode, body)
+		}
+		// The delete reached the owner: no backend serves the session now.
+		for bi, ts := range backends {
+			if resp, _ := doJSON(t, http.MethodGet, ts.URL+"/v1/sessions/"+info.ID, nil); resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("deleted session %s on backend %d: status %d, want 404", info.ID, bi, resp.StatusCode)
+			}
+		}
 	}
 	// 12 random ids over 2 members: both sides of the ring should see
 	// traffic (the balance test proper lives in internal/shard).

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math/rand"
 	"net/http"
@@ -352,23 +353,10 @@ type errorResponse struct {
 }
 
 func (s *Server) handleProtect(w http.ResponseWriter, r *http.Request) {
-	var req protectRequest
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "decoding request: " + err.Error()})
+	req, opts, ok := s.decodeProtectRequest(w, r)
+	if !ok {
 		return
 	}
-
-	// Cheap validation first, so malformed options fail fast with 400
-	// before the request costs the server anything.
-	opts, err := s.validateProtectRequest(&req)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	annotateScope(r.Context(), &req, opts)
 
 	// The deadline covers the whole request — materialising a large dataset
 	// graph can dominate the selection itself.
@@ -389,35 +377,44 @@ func (s *Server) handleProtect(w http.ResponseWriter, r *http.Request) {
 	}
 	defer releaseSem()
 
-	session, lab, err := req.newSession(ctx, opts)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			writeRunError(w, ctxErr)
-		} else {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		}
+	session, lab, ok := buildSession(ctx, w, &req, opts)
+	if !ok {
 		return
 	}
-	p := session.Problem()
-
-	s.metrics.protectRequests.Inc()
-	s.metrics.inflightRuns.Add(1)
-	res, err := session.Run(ctx)
-	s.metrics.inflightRuns.Add(-1)
-	// A fresh record's fold baseline is zero: the session's whole count.
-	s.recordSessionStats(&sessionRecord{session: session})
+	// A transient record: its fold baseline is zero, so the session's whole
+	// count lands in the aggregate stats.
+	resp, err := s.protect(ctx, &sessionRecord{session: session, lab: lab, defaultBudget: req.Budget},
+		nil, nil, req.OmitReleased)
 	if err != nil {
 		writeRunError(w, err)
 		return
 	}
+	releaseSem() // all CPU-bound work done; don't hold the slot for the network write
+	writeJSON(w, http.StatusOK, resp)
+}
 
+// protect runs one selection on rec's session with the per-run overrides
+// opts, folds its selection counters into the aggregate stats and renders
+// the response. budget overrides rec.defaultBudget in the echoed report.
+func (s *Server) protect(ctx context.Context, rec *sessionRecord, budget *int, opts []tpp.Option, omitReleased bool) (protectResponse, error) {
+	s.metrics.protectRequests.Inc()
+	s.metrics.inflightRuns.Add(1)
+	res, err := rec.session.Run(ctx, opts...)
+	s.metrics.inflightRuns.Add(-1)
+	s.recordSessionStats(rec)
+	if err != nil {
+		return protectResponse{}, err
+	}
+	rec.runs++
+
+	p := rec.session.Problem()
 	resp := protectResponse{
 		Method:            res.Method,
 		Nodes:             p.G.NumNodes(),
 		Edges:             originalEdges(p),
-		Targets:           edgePairs(p.Targets, lab),
-		Budget:            req.Budget,
-		Protectors:        edgePairs(res.Protectors, lab),
+		Targets:           edgePairs(p.Targets, rec.lab),
+		Budget:            rec.defaultBudget,
+		Protectors:        edgePairs(res.Protectors, rec.lab),
 		InitialSimilarity: res.SimilarityTrace[0],
 		FinalSimilarity:   res.FinalSimilarity(),
 		FullProtection:    res.FullProtection(),
@@ -425,11 +422,13 @@ func (s *Server) handleProtect(w http.ResponseWriter, r *http.Request) {
 		SimilarityTrace:   res.SimilarityTrace,
 		ElapsedMS:         float64(res.Elapsed.Microseconds()) / 1000,
 	}
-	if !req.OmitReleased {
-		resp.ReleasedEdges = edgePairs(session.Release(res).Edges(), lab)
+	if budget != nil {
+		resp.Budget = *budget
 	}
-	releaseSem() // all CPU-bound work done; don't hold the slot for the network write
-	writeJSON(w, http.StatusOK, resp)
+	if !omitReleased {
+		resp.ReleasedEdges = edgePairs(rec.session.Release(res).Edges(), rec.lab)
+	}
+	return resp, nil
 }
 
 func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
@@ -442,16 +441,18 @@ func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
 }
 
 // statsResponse is the wire form of GET /v1/stats: aggregate service
-// observability — how many protection requests ran, how many sessions are
-// live right now, how many motif-index enumerations were performed and how
-// long they took (enumeration dominates request cost, so these timings are
-// the service's main capacity signal). Every field derives from the same
-// registry instruments GET /metrics exports (see serverMetrics.snapshot); the
-// *_last_ms fields carry the histograms' running mean rather than the old
-// race-prone last-write value — same JSON shape, race-free source.
+// observability — how many protection requests ran, how many protection
+// runs are executing right now (live_sessions, despite its name;
+// sessions_open counts the sessions), how many motif-index enumerations
+// were performed and how long they took (enumeration dominates request
+// cost, so these timings are the service's main capacity signal). Every
+// field derives from the same registry instruments GET /metrics exports
+// (see serverMetrics.snapshot); the *_last_ms fields carry the histograms'
+// running mean rather than the old race-prone last-write value — same JSON
+// shape, race-free source.
 type statsResponse struct {
 	TotalRequests      int64   `json:"total_requests"`
-	LiveSessions       int64   `json:"live_sessions"`
+	LiveSessions       int64   `json:"live_sessions"` // tppd_runs_inflight, not a session count
 	IndexBuilds        int64   `json:"index_builds"`
 	EnumerationTotalMS float64 `json:"enumeration_total_ms"`
 	EnumerationLastMS  float64 `json:"enumeration_last_ms"`
@@ -525,18 +526,55 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// annotateScope records the request's resolved options on its log scope.
-func annotateScope(ctx context.Context, req *protectRequest, opts runOptions) {
-	sc := scopeFrom(ctx)
-	if sc == nil {
-		return
+// decodeJSON decodes the request body into v, capped at the server's body
+// limit and rejecting unknown fields; allowEmpty admits an empty body (v
+// keeps its zero value). On failure it writes the 400 and reports false.
+func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any, allowEmpty bool) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil && !(allowEmpty && errors.Is(err, io.EOF)) {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "decoding request: " + err.Error()})
+		return false
 	}
-	sc.method = string(opts.method)
-	sc.pattern = opts.pattern.String()
-	sc.engine = req.Engine
-	if sc.engine == "" {
-		sc.engine = "indexed"
+	return true
+}
+
+// decodeProtectRequest decodes the graph-carrying body shared by one-shot
+// protect and session create, runs the cheap validations — so malformed
+// options fail fast with 400 before the request costs the server anything —
+// and records the resolved options on the log scope. On failure it has
+// written the 400 and ok is false.
+func (s *Server) decodeProtectRequest(w http.ResponseWriter, r *http.Request) (req protectRequest, opts runOptions, ok bool) {
+	if !s.decodeJSON(w, r, &req, false) {
+		return req, opts, false
 	}
+	opts, err := s.validateProtectRequest(&req)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		return req, opts, false
+	}
+	if sc := scopeFrom(r.Context()); sc != nil {
+		sc.method = string(opts.method)
+		sc.pattern = opts.pattern.String()
+		sc.engine = opts.engine.String()
+	}
+	return req, opts, true
+}
+
+// buildSession materialises the request's session with newSession. A
+// failure is the client's data (400) unless ctx died first; either way it
+// has been written and ok is false.
+func buildSession(ctx context.Context, w http.ResponseWriter, req *protectRequest, opts runOptions) (*tpp.Protector, *graph.Labeling, bool) {
+	session, lab, err := req.newSession(ctx, opts)
+	if err != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			writeRunError(w, ctxErr)
+		} else {
+			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		}
+		return nil, nil, false
+	}
+	return session, lab, true
 }
 
 // requestContext derives the per-request deadline: the client's timeout_ms
@@ -726,15 +764,7 @@ func graphFromDataset(spec *datasetSpec) (*graph.Graph, *graph.Labeling, error) 
 	default:
 		return nil, nil, fmt.Errorf("unknown dataset %q (want arenas-email or dblp)", spec.Name)
 	}
-	g := ds.Graph
-	lab := &graph.Labeling{ToID: make(map[string]graph.NodeID, g.NumNodes())}
-	lab.ToName = make([]string, g.NumNodes())
-	for i := 0; i < g.NumNodes(); i++ {
-		name := strconv.Itoa(i)
-		lab.ToName[i] = name
-		lab.ToID[name] = graph.NodeID(i)
-	}
-	return g, lab, nil
+	return ds.Graph, labelingFrom(nil, ds.Graph.NumNodes()), nil
 }
 
 // resolveTargets maps the request's target pairs to graph edges, or samples

@@ -4,10 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"regexp"
 	"sort"
@@ -536,22 +533,10 @@ type sessionProtectRequest struct {
 // Nothing is enumerated yet: the motif index is built by the first protect
 // call and maintained incrementally by deltas afterwards.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	var req protectRequest
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "decoding request: " + err.Error()})
+	req, opts, ok := s.decodeProtectRequest(w, r)
+	if !ok {
 		return
 	}
-	// Cheap validation before queueing for a work slot, so malformed
-	// requests fail fast — same discipline as /v1/protect.
-	opts, err := s.validateProtectRequest(&req)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	annotateScope(r.Context(), &req, opts)
 	// The id is fixed before any work happens: the session's home shard —
 	// whose work queue bounds this request and whose budget must admit the
 	// session — is a pure function of the id. A router running ahead of the
@@ -582,13 +567,8 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer releaseSem()
-	session, lab, err := req.newSession(ctx, opts)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			writeRunError(w, ctxErr)
-		} else {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		}
+	session, lab, ok := buildSession(ctx, w, &req, opts)
+	if !ok {
 		return
 	}
 	now := time.Now()
@@ -737,46 +717,16 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 // protect call pays for the delta, not the graph.
 func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	var req deltaRequest
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "decoding request: " + err.Error()})
+	if !s.decodeJSON(w, r, &req, false) {
 		return
 	}
-	// Lock order is always work slot → record slot: a request queueing for
-	// a work slot must not hold the session lock, or cheap GET/DELETE
-	// calls on the same session would hang behind work that has not even
-	// started. Session work queues on the session's home shard, so one hot
-	// shard cannot starve the rest of the fleet.
 	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
 	defer cancel()
-	sh := s.sessions.shardFor(r.PathValue("id"))
-	releaseSem, err := s.acquireSlot(ctx, sh)
-	if err != nil {
-		s.writeAcquireError(w, err, sh)
-		return
-	}
-	defer releaseSem()
-	rec, err := s.getSession(ctx, r.PathValue("id"))
-	if err != nil {
-		writeRunError(w, err)
-		return
-	}
+	rec, done := s.lockSession(ctx, w, r)
 	if rec == nil {
-		writeSessionNotFound(w, r.PathValue("id"))
 		return
 	}
-	recHeld := true
-	releaseRec := func() {
-		if recHeld {
-			s.sessions.release(rec)
-			recHeld = false
-		}
-	}
-	defer releaseRec()
-
-	annotateSession(r.Context(), rec.id)
+	defer done()
 
 	d, err := resolveDelta(&req, rec.lab)
 	if err != nil {
@@ -845,9 +795,46 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	// held, then hand back the slot and the session before streaming the
 	// response to a possibly-slow client.
 	s.noteFootprint(rec)
-	releaseRec()
-	releaseSem()
+	done()
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// lockSession takes the work slot on the session's home shard, then the
+// session itself. Lock order is always work slot → record slot: a request
+// queueing for a work slot must not hold the session lock, or cheap
+// GET/DELETE calls on the same session would hang behind work that has not
+// even started. Session work queues on its home shard, so one hot shard
+// cannot starve the rest of the fleet. done releases the record, then the
+// slot; it is idempotent, so handlers both defer it and call it before
+// streaming the response to a possibly-slow client. A nil record means the
+// error response (429, 504/499 or 404) has been written.
+func (s *Server) lockSession(ctx context.Context, w http.ResponseWriter, r *http.Request) (*sessionRecord, func()) {
+	id := r.PathValue("id")
+	sh := s.sessions.shardFor(id)
+	releaseSem, err := s.acquireSlot(ctx, sh)
+	if err != nil {
+		s.writeAcquireError(w, err, sh)
+		return nil, nil
+	}
+	rec, err := s.getSession(ctx, id)
+	if err != nil || rec == nil {
+		releaseSem()
+		if err != nil {
+			writeRunError(w, err)
+		} else {
+			writeSessionNotFound(w, id)
+		}
+		return nil, nil
+	}
+	annotateSession(r.Context(), rec.id)
+	recHeld := true
+	return rec, func() {
+		if recHeld {
+			s.sessions.release(rec)
+			recHeld = false
+		}
+		releaseSem()
+	}
 }
 
 // resolveDelta maps the request's labelled mutation batch into a Delta.
@@ -977,15 +964,12 @@ func nameBytes(names []string) int64 {
 // graph, reusing (and, after deltas, incrementally-updated) cached state.
 func (s *Server) handleSessionProtect(w http.ResponseWriter, r *http.Request) {
 	var req sessionProtectRequest
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
 	// An empty body is legal: it means "run with the session's defaults".
-	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "decoding request: " + err.Error()})
+	if !s.decodeJSON(w, r, &req, true) {
 		return
 	}
 	var opts []tpp.Option
+	var method, engine string // the parsed overrides, for the request log
 	if req.Method != "" {
 		m, err := tpp.ParseMethod(req.Method)
 		if err != nil {
@@ -993,6 +977,7 @@ func (s *Server) handleSessionProtect(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		opts = append(opts, tpp.WithMethod(m))
+		method = string(m)
 	}
 	if req.Division != "" {
 		d, err := tpp.ParseDivision(req.Division)
@@ -1009,6 +994,7 @@ func (s *Server) handleSessionProtect(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		opts = append(opts, tpp.WithEngine(e))
+		engine = e.String()
 	}
 	if req.Budget != nil {
 		opts = append(opts, tpp.WithBudget(*req.Budget))
@@ -1024,80 +1010,28 @@ func (s *Server) handleSessionProtect(w http.ResponseWriter, r *http.Request) {
 		opts = append(opts, tpp.WithWorkers(*req.Workers))
 	}
 
-	// Same lock order as the delta handler: shard work slot first, session
-	// lock second, both handed back before the response write.
 	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
 	defer cancel()
-	sh := s.sessions.shardFor(r.PathValue("id"))
-	releaseSem, err := s.acquireSlot(ctx, sh)
-	if err != nil {
-		s.writeAcquireError(w, err, sh)
-		return
-	}
-	defer releaseSem()
-	rec, err := s.getSession(ctx, r.PathValue("id"))
-	if err != nil {
-		writeRunError(w, err)
-		return
-	}
+	rec, done := s.lockSession(ctx, w, r)
 	if rec == nil {
-		writeSessionNotFound(w, r.PathValue("id"))
 		return
 	}
-	recHeld := true
-	releaseRec := func() {
-		if recHeld {
-			s.sessions.release(rec)
-			recHeld = false
-		}
-	}
-	defer releaseRec()
-
-	annotateSession(r.Context(), rec.id)
+	defer done()
 	if sc := scopeFrom(r.Context()); sc != nil {
-		sc.method = req.Method
-		sc.engine = req.Engine
+		sc.method = method
+		sc.engine = engine
 		sc.pattern = rec.pattern
 	}
 
-	s.metrics.protectRequests.Inc()
-	s.metrics.inflightRuns.Add(1)
-	res, err := rec.session.Run(ctx, opts...)
-	s.metrics.inflightRuns.Add(-1)
-	s.recordSessionStats(rec)
+	resp, err := s.protect(ctx, rec, req.Budget, opts, req.OmitReleased)
 	if err != nil {
 		writeRunError(w, err)
 		return
-	}
-	rec.runs++
-
-	p := rec.session.Problem()
-	budget := rec.defaultBudget
-	if req.Budget != nil {
-		budget = *req.Budget
-	}
-	resp := protectResponse{
-		Method:            res.Method,
-		Nodes:             p.G.NumNodes(),
-		Edges:             originalEdges(p),
-		Targets:           edgePairs(p.Targets, rec.lab),
-		Budget:            budget,
-		Protectors:        edgePairs(res.Protectors, rec.lab),
-		InitialSimilarity: res.SimilarityTrace[0],
-		FinalSimilarity:   res.FinalSimilarity(),
-		FullProtection:    res.FullProtection(),
-		WarmStart:         res.WarmStart,
-		SimilarityTrace:   res.SimilarityTrace,
-		ElapsedMS:         float64(res.Elapsed.Microseconds()) / 1000,
-	}
-	if !req.OmitReleased {
-		resp.ReleasedEdges = edgePairs(rec.session.Release(res).Edges(), rec.lab)
 	}
 	// The first run built the motif index — easily the biggest jump a
 	// session's footprint ever takes — so re-account before handing back.
 	s.noteFootprint(rec)
-	releaseRec()
-	releaseSem()
+	done()
 	writeJSON(w, http.StatusOK, resp)
 }
 
