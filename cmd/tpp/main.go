@@ -179,11 +179,11 @@ func parseTargets(spec string, lab *graph.Labeling) ([]graph.Edge, error) {
 		if len(uv) != 2 {
 			return nil, fmt.Errorf("malformed target %q (want u-v)", part)
 		}
-		u, ok := lab.ToID[uv[0]]
+		u, ok := lab.ID(uv[0])
 		if !ok {
 			return nil, fmt.Errorf("target node %q not in graph", uv[0])
 		}
-		v, ok := lab.ToID[uv[1]]
+		v, ok := lab.ID(uv[1])
 		if !ok {
 			return nil, fmt.Errorf("target node %q not in graph", uv[1])
 		}

@@ -53,8 +53,8 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 	// The target and enough protectors are gone; a and b share no
 	// neighbour anymore.
-	a, aok := lab.ToID["a"]
-	b, bok := lab.ToID["b"]
+	a, aok := lab.ID("a")
+	b, bok := lab.ID("b")
 	if aok && bok {
 		if g.HasEdge(a, b) {
 			t.Fatal("target still present in release")
@@ -150,7 +150,10 @@ func TestRunTargetsFileAndAutoPattern(t *testing.T) {
 }
 
 func TestParseTargets(t *testing.T) {
-	lab := &graph.Labeling{ToID: map[string]graph.NodeID{"a": 0, "b": 1, "c": 2}}
+	lab := &graph.Labeling{}
+	for _, name := range []string{"a", "b", "c"} {
+		lab.Intern(name)
+	}
 	got, err := parseTargets(" a-b , b-c ", lab)
 	if err != nil {
 		t.Fatal(err)

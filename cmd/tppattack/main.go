@@ -116,11 +116,11 @@ func parseCandidates(spec string, lab *graph.Labeling) ([]graph.Edge, error) {
 		if len(uv) != 2 {
 			return nil, fmt.Errorf("malformed candidate %q (want u-v)", part)
 		}
-		u, ok := lab.ToID[uv[0]]
+		u, ok := lab.ID(uv[0])
 		if !ok {
 			return nil, fmt.Errorf("node %q not in graph", uv[0])
 		}
-		v, ok := lab.ToID[uv[1]]
+		v, ok := lab.ID(uv[1])
 		if !ok {
 			return nil, fmt.Errorf("node %q not in graph", uv[1])
 		}

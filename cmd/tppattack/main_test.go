@@ -57,7 +57,9 @@ func TestAttackFlagErrors(t *testing.T) {
 }
 
 func TestParseCandidates(t *testing.T) {
-	lab := &graph.Labeling{ToID: map[string]graph.NodeID{"x": 0, "y": 1}}
+	lab := &graph.Labeling{}
+	lab.Intern("x")
+	lab.Intern("y")
 	got, err := parseCandidates("x-y", lab)
 	if err != nil || len(got) != 1 || got[0] != graph.NewEdge(0, 1) {
 		t.Fatalf("parseCandidates = %v, %v", got, err)

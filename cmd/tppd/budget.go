@@ -21,13 +21,25 @@ package main
 // footprint change tries again. That trade (bounded overage, never a
 // lock-order deadlock) is deliberate.
 
+import "repro/internal/graph"
+
 // sessionFootprint measures a session's resident bytes: the Protector's
-// own estimate plus the label table the record carries, whose names are
-// stored twice (slice + map key) plus map/slice entry overhead. Requires
-// the same exclusivity as any session operation (the caller holds the
-// record slot, or the record is not yet published).
+// own estimate plus the label table the record carries — a string header
+// per node, the name bytes, and an entry per name the sparse inverse map
+// holds (identity-labelled nodes have none). Requires the same exclusivity
+// as any session operation (the caller holds the record slot, or the
+// record is not yet published).
 func sessionFootprint(rec *sessionRecord) int64 {
-	return rec.session.MemFootprint() + 2*rec.labBytes + int64(len(rec.lab.ToName))*64
+	return rec.session.MemFootprint() + labelTableBytes(rec.lab, rec.labBytes)
+}
+
+// labelTableBytes is the label table's charge given its name bytes: O(1).
+func labelTableBytes(lab *graph.Labeling, nameBytes int64) int64 {
+	const (
+		stringHeader = 16 // unsafe.Sizeof("") on 64-bit
+		mapEntry     = 48 // string key + NodeID value + control/slack, approximate
+	)
+	return int64(len(lab.ToName))*stringHeader + nameBytes + int64(lab.Aliases())*mapEntry
 }
 
 // noteFootprint re-measures rec (the caller holds its slot) and enforces

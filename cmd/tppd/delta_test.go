@@ -21,26 +21,42 @@ import (
 	"repro/internal/tpp"
 )
 
+// labelOracle is the reference label table: names in node-ID order with a
+// full inverse map, the shape the table had before its map went sparse.
+type labelOracle struct {
+	toID   map[string]graph.NodeID
+	toName []string
+}
+
+func newLabelOracle(names []string) *labelOracle {
+	o := &labelOracle{toID: make(map[string]graph.NodeID, len(names)), toName: slices.Clone(names)}
+	for i, name := range names {
+		o.toID[name] = graph.NodeID(i)
+	}
+	return o
+}
+
 // rebuildLabels is the oracle for applyDeltaLabels: the from-scratch
 // rebuild the label table used before the in-place remap. It returns a new
-// table and leaves lab untouched.
-func rebuildLabels(lab *graph.Labeling, added []string, rep *tpp.DeltaReport) *graph.Labeling {
-	out := &graph.Labeling{ToID: maps.Clone(lab.ToID), ToName: slices.Clone(lab.ToName)}
+// table and leaves lab untouched; retired collects the removed names.
+func rebuildLabels(lab *labelOracle, added []string, rep *tpp.DeltaReport, retired map[string]bool) *labelOracle {
+	out := &labelOracle{toID: maps.Clone(lab.toID), toName: slices.Clone(lab.toName)}
 	for _, name := range added {
-		out.ToID[name] = graph.NodeID(len(out.ToName))
-		out.ToName = append(out.ToName, name)
+		out.toID[name] = graph.NodeID(len(out.toName))
+		out.toName = append(out.toName, name)
 	}
 	if rep.NodeRemap == nil {
 		return out
 	}
-	old := out.ToName
-	out.ToName = make([]string, rep.Nodes)
+	old := out.toName
+	out.toName = make([]string, rep.Nodes)
 	for i, name := range old {
 		if nw := rep.NodeRemap[i]; nw == graph.NoNode {
-			delete(out.ToID, name)
+			delete(out.toID, name)
+			retired[name] = true
 		} else {
-			out.ToName[nw] = name
-			out.ToID[name] = nw
+			out.toName[nw] = name
+			out.toID[name] = nw
 		}
 	}
 	return out
@@ -49,14 +65,14 @@ func rebuildLabels(lab *graph.Labeling, added []string, rep *tpp.DeltaReport) *g
 // remeasureFootprint is sessionFootprint with the label bytes walked
 // afresh instead of read from the record's running count.
 func remeasureFootprint(rec *sessionRecord) int64 {
-	return rec.session.MemFootprint() + 2*nameBytes(rec.lab.ToName) + int64(len(rec.lab.ToName))*64
+	return rec.session.MemFootprint() + labelTableBytes(rec.lab, nameBytes(rec.lab.ToName))
 }
 
 // datasetRecord builds a session record the way the create handler does
 // for a server-side dblp dataset with sampled targets.
 func datasetRecord(t testing.TB, scale int, pattern motif.Pattern) *sessionRecord {
 	t.Helper()
-	g, lab, err := graphFromDataset(&datasetSpec{Name: "dblp", Scale: scale, Seed: 1})
+	g, lab, err := graphFromDataset(&datasetSpec{Name: "dblp", Scale: scale, Seed: 1}, newDatasetCache(datasetCacheBytes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +87,10 @@ func datasetRecord(t testing.TB, scale int, pattern motif.Pattern) *sessionRecor
 // TestApplyDeltaLabelsMatchesRebuild drives a seeded, departure-heavy
 // mutation stream through the delta handler's path — resolveDelta, Apply,
 // applyDeltaLabels — and checks after every delta that the in-place table
-// equals a from-scratch rebuild, that ToID is a bijection onto
-// [0, Nodes), and that the running footprint equals a full re-measure.
+// equals a from-scratch rebuild with a full inverse map: ID agrees with
+// the rebuild on every live name and finds no retired one, ID is a
+// bijection onto [0, Nodes), the sparse map holds exactly the non-identity
+// names, and the running footprint equals a full re-measure.
 func TestApplyDeltaLabelsMatchesRebuild(t *testing.T) {
 	ctx := context.Background()
 	rec := datasetRecord(t, 400, motif.Triangle)
@@ -88,6 +106,8 @@ func TestApplyDeltaLabelsMatchesRebuild(t *testing.T) {
 		orig.AddEdgeE(t)
 	}
 	churn := gen.NewMutationChurn(orig, p.Targets, rates, rand.New(rand.NewSource(7)))
+	ref := newLabelOracle(rec.lab.ToName)
+	retired := make(map[string]bool)
 	minted, departures := 0, 0
 	for batch := 0; batch < 150; batch++ {
 		m := churn.Next(8)
@@ -131,20 +151,37 @@ func TestApplyDeltaLabelsMatchesRebuild(t *testing.T) {
 		if rep.Nodes != churn.Graph().NumNodes() || rep.Edges != churn.Graph().NumEdges() {
 			t.Fatalf("batch %d: report says %d nodes / %d edges, churn mirror %v", batch, rep.Nodes, rep.Edges, churn.Graph())
 		}
-		want := rebuildLabels(rec.lab, req.AddNodes, rep)
+		ref = rebuildLabels(ref, req.AddNodes, rep, retired)
 		rec.labBytes += applyDeltaLabels(rec.lab, req.AddNodes, rep)
 
 		lab := rec.lab
-		if !slices.Equal(lab.ToName, want.ToName) || !maps.Equal(lab.ToID, want.ToID) {
+		if !slices.Equal(lab.ToName, ref.toName) {
 			t.Fatalf("batch %d: in-place table diverged from the rebuild", batch)
 		}
-		if len(lab.ToName) != rep.Nodes || len(lab.ToID) != rep.Nodes {
-			t.Fatalf("batch %d: table has %d names / %d ids for %d nodes", batch, len(lab.ToName), len(lab.ToID), rep.Nodes)
+		if len(lab.ToName) != rep.Nodes || len(ref.toID) != rep.Nodes {
+			t.Fatalf("batch %d: table has %d names / rebuild %d ids for %d nodes", batch, len(lab.ToName), len(ref.toID), rep.Nodes)
 		}
-		for nm, id := range lab.ToID {
-			if id < 0 || int(id) >= rep.Nodes || lab.ToName[id] != nm {
-				t.Fatalf("batch %d: ToID[%q] = %d is not the inverse of ToName", batch, nm, id)
+		nonIdentity := 0
+		for nm, want := range ref.toID {
+			if id, ok := lab.ID(nm); !ok || id != want {
+				t.Fatalf("batch %d: ID(%q) = %d, %v; the rebuild has %d", batch, nm, id, ok, want)
 			}
+			if i, err := strconv.Atoi(nm); err != nil || i != int(want) {
+				nonIdentity++
+			}
+		}
+		for nm := range retired {
+			if id, ok := lab.ID(nm); ok {
+				t.Fatalf("batch %d: retired name %q still resolves to %d", batch, nm, id)
+			}
+		}
+		for i, nm := range lab.ToName {
+			if id, ok := lab.ID(nm); !ok || int(id) != i {
+				t.Fatalf("batch %d: ID(ToName[%d] = %q) = %d, %v is not the inverse of ToName", batch, i, nm, id, ok)
+			}
+		}
+		if got := lab.Aliases(); got != nonIdentity {
+			t.Fatalf("batch %d: sparse map holds %d names, %d live names are non-identity", batch, got, nonIdentity)
 		}
 		if tail := lab.ToName[len(lab.ToName):cap(lab.ToName)]; slices.ContainsFunc(tail, func(s string) bool { return s != "" }) {
 			t.Fatalf("batch %d: truncated tail still holds names", batch)
@@ -248,14 +285,16 @@ func BenchmarkSessionDeltaLarge(b *testing.B) {
 
 	// Mirror the session client-side: its graph, targets and label table,
 	// kept in step with the server's the way applyDeltaLabels renames.
-	g, lab, err := graphFromDataset(&spec)
+	g, lab, err := graphFromDataset(&spec, newDatasetCache(datasetCacheBytes))
 	if err != nil {
 		b.Fatal(err)
 	}
 	labels := lab.ToName
 	var targets []graph.Edge
 	for _, t := range info.Targets {
-		targets = append(targets, graph.NewEdge(lab.ToID[t[0]], lab.ToID[t[1]]))
+		u, _ := lab.ID(t[0])
+		v, _ := lab.ID(t[1])
+		targets = append(targets, graph.NewEdge(u, v))
 	}
 	churn := gen.NewMutationChurn(g, targets, gen.DefaultChurnRates(), rand.New(rand.NewSource(1)))
 	pairs := func(es []graph.Edge) [][2]string {

@@ -29,11 +29,9 @@ package main
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"time"
 
 	"repro/internal/durable"
-	"repro/internal/graph"
 	"repro/internal/tpp"
 )
 
@@ -232,23 +230,4 @@ func (s *Server) quarantineSession(id string, cause error) {
 	if err := s.store.Quarantine(id); err != nil {
 		s.logger.Error("tppd: quarantine failed", "session", id, "error", err)
 	}
-}
-
-// labelingFrom rebuilds a session's label mapping from the snapshot's
-// label table (node-ID order). An absent table synthesises numeric labels,
-// matching the server-side dataset convention.
-func labelingFrom(names []string, n int) *graph.Labeling {
-	lab := &graph.Labeling{ToID: make(map[string]graph.NodeID, n)}
-	if len(names) == n && n > 0 {
-		lab.ToName = append([]string(nil), names...)
-	} else {
-		lab.ToName = make([]string, n)
-		for i := range lab.ToName {
-			lab.ToName[i] = strconv.Itoa(i)
-		}
-	}
-	for i, name := range lab.ToName {
-		lab.ToID[name] = graph.NodeID(i)
-	}
-	return lab
 }

@@ -42,6 +42,7 @@ type Server struct {
 	maxScale   int           // cap on dataset graph size a client may request
 	queueWait  time.Duration // 429 once no slot frees within this (0 = queue to deadline)
 	sessions   *sessionStore // long-lived named sessions, sharded (TTL-evicted)
+	datasets   *datasetCache // generated dataset graphs, frozen (datasets.go)
 
 	store  *durable.Store // session persistence; nil = in-memory only
 	loadMu sync.Mutex     // serialises lazy on-miss rehydration from disk
@@ -77,6 +78,7 @@ func NewServer(cfg Config) (*Server, error) {
 		maxTimeout: cfg.RequestTimeout,
 		maxScale:   cfg.MaxDatasetScale,
 		queueWait:  cfg.QueueWait,
+		datasets:   newDatasetCache(datasetCacheBytes),
 		registry:   telemetry.NewRegistry(),
 		logger:     cfg.Logger,
 		slowReq:    cfg.SlowRequest,
@@ -377,7 +379,7 @@ func (s *Server) handleProtect(w http.ResponseWriter, r *http.Request) {
 	}
 	defer releaseSem()
 
-	session, lab, ok := buildSession(ctx, w, &req, opts)
+	session, lab, ok := s.buildSession(ctx, w, &req, opts)
 	if !ok {
 		return
 	}
@@ -564,8 +566,8 @@ func (s *Server) decodeProtectRequest(w http.ResponseWriter, r *http.Request) (r
 // buildSession materialises the request's session with newSession. A
 // failure is the client's data (400) unless ctx died first; either way it
 // has been written and ok is false.
-func buildSession(ctx context.Context, w http.ResponseWriter, req *protectRequest, opts runOptions) (*tpp.Protector, *graph.Labeling, bool) {
-	session, lab, err := req.newSession(ctx, opts)
+func (s *Server) buildSession(ctx context.Context, w http.ResponseWriter, req *protectRequest, opts runOptions) (*tpp.Protector, *graph.Labeling, bool) {
+	session, lab, err := req.newSession(ctx, opts, s.datasets)
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			writeRunError(w, ctxErr)
@@ -658,15 +660,18 @@ func (s *Server) validateProtectRequest(r *protectRequest) (runOptions, error) {
 	if r.Dataset != nil && r.Dataset.Scale > s.maxScale {
 		return runOptions{}, fmt.Errorf("dataset scale %d exceeds server limit %d", r.Dataset.Scale, s.maxScale)
 	}
+	if r.Dataset != nil && r.Dataset.Scale < 0 {
+		return runOptions{}, fmt.Errorf("negative dataset scale %d", r.Dataset.Scale)
+	}
 	return opts, nil
 }
 
-// newSession materialises the request's graph and constructs the Protector
-// with the request's options as defaults. The caller holds a semaphore
-// slot (graph materialisation can dominate a request); every error is the
-// client's data unless ctx died first.
-func (r *protectRequest) newSession(ctx context.Context, opts runOptions) (*tpp.Protector, *graph.Labeling, error) {
-	g, lab, err := r.buildGraph()
+// newSession materialises the request's graph — a dataset through cache —
+// and constructs the Protector with the request's options as defaults. The
+// caller holds a semaphore slot (graph materialisation can dominate a
+// request); every error is the client's data unless ctx died first.
+func (r *protectRequest) newSession(ctx context.Context, opts runOptions, cache *datasetCache) (*tpp.Protector, *graph.Labeling, error) {
+	g, lab, err := r.buildGraph(cache)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -694,14 +699,14 @@ func (r *protectRequest) newSession(ctx context.Context, opts runOptions) (*tpp.
 }
 
 // buildGraph materialises the request's graph and its label mapping.
-func (r *protectRequest) buildGraph() (*graph.Graph, *graph.Labeling, error) {
+func (r *protectRequest) buildGraph(cache *datasetCache) (*graph.Graph, *graph.Labeling, error) {
 	switch {
 	case len(r.Edges) > 0 && r.Dataset != nil:
 		return nil, nil, fmt.Errorf("request sets both edges and dataset; choose one")
 	case len(r.Edges) > 0:
 		return graphFromPairs(r.Edges)
 	case r.Dataset != nil:
-		return graphFromDataset(r.Dataset)
+		return graphFromDataset(r.Dataset, cache)
 	default:
 		return nil, nil, fmt.Errorf("request needs a graph: either edges or dataset")
 	}
@@ -711,18 +716,12 @@ func (r *protectRequest) buildGraph() (*graph.Graph, *graph.Labeling, error) {
 // mirroring graph.ReadEdgeList's tolerance: self loops and duplicate edges
 // are dropped silently.
 func graphFromPairs(pairs [][2]string) (*graph.Graph, *graph.Labeling, error) {
-	lab := &graph.Labeling{ToID: make(map[string]graph.NodeID)}
+	lab := &graph.Labeling{}
 	intern := func(s string) (graph.NodeID, error) {
 		if s == "" {
 			return 0, fmt.Errorf("empty node label in edge list")
 		}
-		if id, ok := lab.ToID[s]; ok {
-			return id, nil
-		}
-		id := graph.NodeID(len(lab.ToName))
-		lab.ToID[s] = id
-		lab.ToName = append(lab.ToName, s)
-		return id, nil
+		return lab.Intern(s), nil
 	}
 	edges := make([]graph.Edge, 0, len(pairs))
 	for _, p := range pairs {
@@ -746,27 +745,6 @@ func graphFromPairs(pairs [][2]string) (*graph.Graph, *graph.Labeling, error) {
 	return g, lab, nil
 }
 
-func graphFromDataset(spec *datasetSpec) (*graph.Graph, *graph.Labeling, error) {
-	seed := spec.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	var ds datasets.Dataset
-	switch spec.Name {
-	case "arenas-email", "arenas-email-sim":
-		ds = datasets.ArenasEmailSim(seed)
-	case "dblp", "dblp-sim":
-		scale := spec.Scale
-		if scale == 0 {
-			scale = 2000
-		}
-		ds = datasets.DBLPSim(scale, seed)
-	default:
-		return nil, nil, fmt.Errorf("unknown dataset %q (want arenas-email or dblp)", spec.Name)
-	}
-	return ds.Graph, labelingFrom(nil, ds.Graph.NumNodes()), nil
-}
-
 // resolveTargets maps the request's target pairs to graph edges, or samples
 // them server-side when sample_targets is set.
 func (r *protectRequest) resolveTargets(g *graph.Graph, lab *graph.Labeling) ([]graph.Edge, error) {
@@ -785,11 +763,11 @@ func (r *protectRequest) resolveTargets(g *graph.Graph, lab *graph.Labeling) ([]
 	}
 	out := make([]graph.Edge, 0, len(r.Targets))
 	for _, t := range r.Targets {
-		u, ok := lab.ToID[t[0]]
+		u, ok := lab.ID(t[0])
 		if !ok {
 			return nil, fmt.Errorf("target node %q not in graph", t[0])
 		}
-		v, ok := lab.ToID[t[1]]
+		v, ok := lab.ID(t[1])
 		if !ok {
 			return nil, fmt.Errorf("target node %q not in graph", t[1])
 		}

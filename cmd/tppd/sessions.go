@@ -567,7 +567,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer releaseSem()
-	session, lab, ok := buildSession(ctx, w, &req, opts)
+	session, lab, ok := s.buildSession(ctx, w, &req, opts)
 	if !ok {
 		return
 	}
@@ -849,7 +849,7 @@ func resolveDelta(req *deltaRequest, lab *graph.Labeling) (dynamic.Delta, error)
 		if name == "" {
 			return dynamic.Delta{}, fmt.Errorf("empty node label in add_nodes")
 		}
-		if _, ok := lab.ToID[name]; ok {
+		if _, ok := lab.ID(name); ok {
 			return dynamic.Delta{}, fmt.Errorf("add_nodes label %q already names a node", name)
 		}
 		if _, ok := pending[name]; ok {
@@ -858,7 +858,7 @@ func resolveDelta(req *deltaRequest, lab *graph.Labeling) (dynamic.Delta, error)
 		pending[name] = graph.NodeID(len(lab.ToName) + i)
 	}
 	lookup := func(s, kind string) (graph.NodeID, error) {
-		if id, ok := lab.ToID[s]; ok {
+		if id, ok := lab.ID(s); ok {
 			return id, nil
 		}
 		if id, ok := pending[s]; ok {
@@ -924,15 +924,14 @@ func resolveDelta(req *deltaRequest, lab *graph.Labeling) (dynamic.Delta, error)
 // read.
 func applyDeltaLabels(lab *graph.Labeling, added []string, rep *tpp.DeltaReport) (delta int64) {
 	for _, name := range added {
-		lab.ToID[name] = graph.NodeID(len(lab.ToName))
-		lab.ToName = append(lab.ToName, name)
+		lab.Bind(graph.NodeID(len(lab.ToName)), name)
 		delta += int64(len(name))
 	}
 	if rep.NodeRemap == nil {
 		return delta
 	}
 	retire := func(name string) {
-		delete(lab.ToID, name)
+		lab.Unbind(name)
 		delta -= int64(len(name))
 	}
 	for i := rep.Nodes; i < len(lab.ToName); i++ {
@@ -941,8 +940,7 @@ func applyDeltaLabels(lab *graph.Labeling, added []string, rep *tpp.DeltaReport)
 			retire(name)
 		} else {
 			retire(lab.ToName[nw]) // the slot's old occupant was removed
-			lab.ToName[nw] = name
-			lab.ToID[name] = nw
+			lab.Bind(nw, name)
 		}
 	}
 	clear(lab.ToName[rep.Nodes:])

@@ -521,21 +521,73 @@ func (g *Graph) EachEdge(fn func(e Edge) bool) {
 	}
 }
 
-// Clone returns a deep copy of g. Each neighbor row is copied with exact
-// capacity in one memmove — cloning is on the request path (a session's
-// phase-1 copy, every release), so this matters.
+// Clone returns a deep copy of g in two allocations: the spine and one
+// backing array holding every row. Cloning is on the request path (a
+// session's phase-1 copy, every release), so this matters.
+//
+// Each row is a full-capacity window of the shared array (cap == len), so
+// a row's first insert reallocates that row alone and the others stay put.
+// The trade-off: a relocated row leaves its old window as dead space in the
+// shared array, which stays reachable until the graph is dropped — bounded
+// by the array's size, and not counted by MemFootprint, which charges each
+// live row's own capacity as before.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{adj: make([][]NodeID, len(g.adj)), edges: g.edges}
+	b := make([]NodeID, 2*g.edges)
+	off := 0
 	for i, row := range g.adj {
 		if len(row) == 0 {
 			continue
 		}
-		cp := make([]NodeID, len(row))
-		copy(cp, row)
-		c.adj[i] = cp
-		c.rowCap += cap(cp)
+		end := off + copy(b[off:], row)
+		c.adj[i] = b[off:end:end]
+		off = end
 	}
+	c.rowCap = off
 	return c
+}
+
+// Frozen is an immutable compressed-sparse-row snapshot of a Graph: node
+// u's sorted neighbors are nbr[off[u]:off[u+1]]. It holds no pointers
+// beyond its two arrays, so the garbage collector does not scan it, and it
+// takes about half a Graph's bytes (no per-row slice header or slack).
+// Nothing can mutate a Frozen, so one may be shared by any number of
+// goroutines; Thaw hands each caller its own mutable Graph.
+type Frozen struct {
+	off   []uint32 // len NumNodes+1; off[0] == 0
+	nbr   []NodeID // len 2·NumEdges, rows back to back
+	edges int
+}
+
+// Freeze returns a Frozen snapshot of g. It panics if g has 2^32 or more
+// adjacency entries (2^31 edges), far beyond any graph held in memory.
+func (g *Graph) Freeze() *Frozen {
+	if uint64(2*g.edges) > 1<<32-1 {
+		panic(fmt.Sprintf("graph: %d edges exceed the Frozen offset range", g.edges))
+	}
+	f := &Frozen{off: make([]uint32, len(g.adj)+1), nbr: make([]NodeID, 0, 2*g.edges), edges: g.edges}
+	for i, row := range g.adj {
+		f.nbr = append(f.nbr, row...)
+		f.off[i+1] = uint32(len(f.nbr))
+	}
+	return f
+}
+
+// Bytes returns the snapshot's array bytes: 4 per offset, 4 per entry.
+func (f *Frozen) Bytes() int64 { return 4*int64(len(f.off)) + 4*int64(len(f.nbr)) }
+
+// Thaw returns a fresh mutable Graph equal to the snapshot, laid out as
+// Clone lays out a copy: one backing array, each row a full-capacity
+// window of it.
+func (f *Frozen) Thaw() *Graph {
+	g := &Graph{adj: make([][]NodeID, len(f.off)-1), edges: f.edges, rowCap: len(f.nbr)}
+	b := slices.Clone(f.nbr)
+	for i := range g.adj {
+		if lo, hi := f.off[i], f.off[i+1]; lo < hi {
+			g.adj[i] = b[lo:hi:hi]
+		}
+	}
+	return g
 }
 
 // Degrees returns the degree of every node, indexed by NodeID.

@@ -294,8 +294,9 @@ alice dave
 	if lab.Name(0) != "alice" {
 		t.Fatalf("first label = %q, want alice", lab.Name(0))
 	}
-	a, b := lab.ToID["alice"], lab.ToID["bob"]
-	if !g.HasEdge(a, b) {
+	a, aok := lab.ID("alice")
+	b, bok := lab.ID("bob")
+	if !aok || !bok || !g.HasEdge(a, b) {
 		t.Fatal("alice-bob edge missing")
 	}
 }
@@ -325,8 +326,8 @@ func TestEdgeListRoundTrip(t *testing.T) {
 		t.Fatalf("edge count mismatch: %d vs %d", g2.NumEdges(), g.NumEdges())
 	}
 	for _, e := range g.Edges() {
-		u, okU := lab.ToID[fmtNode(e.U)]
-		v, okV := lab.ToID[fmtNode(e.V)]
+		u, okU := lab.ID(fmtNode(e.U))
+		v, okV := lab.ID(fmtNode(e.V))
 		if !okU || !okV || !g2.HasEdge(u, v) {
 			t.Fatalf("edge %v missing after round trip", e)
 		}

@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -58,6 +60,15 @@ func (m *modelGraph) removeNode(n NodeID) NodeID {
 	}
 	m.adj = m.adj[:last]
 	return last
+}
+
+// clone deep-copies the model, so a graph copy gets a reference of its own.
+func (m *modelGraph) clone() *modelGraph {
+	c := &modelGraph{adj: make([]map[NodeID]struct{}, len(m.adj)), edges: m.edges}
+	for i, row := range m.adj {
+		c.adj[i] = maps.Clone(row)
+	}
+	return c
 }
 
 func (m *modelGraph) removeEdge(u, v NodeID) bool {
@@ -152,6 +163,16 @@ func applyModelOp(t *testing.T, g *Graph, m *modelGraph, a, b byte) bool {
 			t.Fatalf("RemoveNode(%d) = %d, model got %d", x, got, want)
 		}
 		return true
+	case a%8 == 6 && b%4 == 2 && n > 6: // batch shrink: two nodes at once
+		x, y := NodeID(a>>3)%n, NodeID(b>>2)%n
+		if x == y {
+			return false
+		}
+		x, y = min(x, y), max(x, y)
+		g.RemoveNodes([]NodeID{x, y})
+		m.removeNode(y) // descending, as RemoveNodes processes them
+		m.removeNode(x)
+		return true
 	default:
 		u, v := NodeID(a)%n, NodeID(b)%n
 		if u == v {
@@ -170,25 +191,61 @@ func applyModelOp(t *testing.T, g *Graph, m *modelGraph, a, b byte) bool {
 	}
 }
 
+// checkRows is the cheap form of checkAgainstModel run after every op:
+// edge count and every sorted row, without the all-pairs HasEdge sweep.
+func checkRows(t *testing.T, g *Graph, m *modelGraph, copyIdx int) {
+	t.Helper()
+	if g.NumNodes() != len(m.adj) || g.NumEdges() != m.edges {
+		t.Fatalf("copy %d: graph %v, model has %d nodes / %d edges", copyIdx, g, len(m.adj), m.edges)
+	}
+	for n := NodeID(0); int(n) < len(m.adj); n++ {
+		if got, want := g.NeighborsView(n), m.neighbors(n); !slices.Equal(got, want) {
+			t.Fatalf("copy %d: row %d = %v, model has %v", copyIdx, n, got, want)
+		}
+	}
+}
+
 // FuzzGraphModel drives the sorted-slice core against the map-based
-// reference under arbitrary AddEdge/RemoveEdge/AddNode/RemoveNode
-// sequences: degrees, HasEdge answers, sorted neighbor sets, edge counts
-// and the swap-with-last renumbering must agree at every checkpoint and at
-// the end of the sequence, and the incremental footprint must equal a full
-// walk after every op.
+// reference under arbitrary AddEdge/RemoveEdge/AddNode/RemoveNode/
+// RemoveNodes sequences: degrees, HasEdge answers, sorted neighbor sets,
+// edge counts and the swap-with-last renumbering must agree at every
+// checkpoint and at the end of the sequence, and the incremental footprint
+// must equal a full walk after every op.
+//
+// Some ops copy the graph — Clone, or Freeze then Thaw — and the copy gets
+// a model of its own; later ops mutate any copy. Copies share one backing
+// array per copy with full-capacity rows, so the first insert into a row
+// relocates it: after every op, every copy must still equal its own model.
 func FuzzGraphModel(f *testing.F) {
 	f.Add([]byte{0x01, 0x02, 0x03, 0x04, 0x07, 0x00, 0x05, 0x06})
 	f.Add([]byte{0xff, 0xfe, 0x00, 0x03, 0x30, 0x21, 0x12, 0x03})
+	f.Add([]byte{0x01, 0x02, 0x03, 0x04, 0x05, 0x00, 0x21, 0x05, 0x45, 0x01, 0x61, 0x03, 0x0e, 0x06, 0x24, 0x07})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g := New(8)
-		m := newModel(8)
+		graphs := []*Graph{New(8)}
+		models := []*modelGraph{newModel(8)}
 		for i := 0; i+1 < len(data); i += 2 {
-			if applyModelOp(t, g, m, data[i], data[i+1]) {
+			a, b := data[i], data[i+1]
+			k := int(a>>6) % len(graphs) // the copy this op acts on
+			g, m := graphs[k], models[k]
+			if a%8 == 5 && b%8 < 2 { // copy, rarely
+				if len(graphs) < 4 {
+					c := g.Clone()
+					if b%8 == 1 {
+						c = g.Freeze().Thaw()
+					}
+					graphs, models = append(graphs, c), append(models, m.clone())
+				}
+			} else if applyModelOp(t, g, m, a, b) {
 				checkAgainstModel(t, g, m)
 			}
-			checkFootprint(t, g, "model op")
+			for j := range graphs {
+				checkRows(t, graphs[j], models[j], j)
+				checkFootprint(t, graphs[j], "model op")
+			}
 		}
-		checkAgainstModel(t, g, m)
+		for j := range graphs {
+			checkAgainstModel(t, graphs[j], models[j])
+		}
 	})
 }
 
@@ -212,9 +269,9 @@ func TestGraphMatchesModelRandomOps(t *testing.T) {
 }
 
 // TestMemFootprintIncrementalMatchesWalk drives random AddEdge, RemoveEdge,
-// AddNode, RemoveNodes and Clone sequences and asserts after every step that
-// the O(1) footprint equals the reference walk, on the original and on
-// every clone (which keeps mutating independently).
+// AddNode, RemoveNodes, Clone and Freeze→Thaw sequences and asserts after
+// every step that the O(1) footprint equals the reference walk, on the
+// original and on every copy (which keeps mutating independently).
 func TestMemFootprintIncrementalMatchesWalk(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -250,11 +307,18 @@ func TestMemFootprintIncrementalMatchesWalk(t *testing.T) {
 					}
 				}
 				g.RemoveNodes(nodes)
-			default:
+			case r < 98:
 				name = "Clone"
-				if len(graphs) < 4 {
+				if len(graphs) < 6 {
 					c := g.Clone()
 					checkFootprint(t, c, "Clone (copy)")
+					graphs = append(graphs, c)
+				}
+			default:
+				name = "Thaw"
+				if len(graphs) < 6 {
+					c := g.Freeze().Thaw()
+					checkFootprint(t, c, "Thaw (copy)")
 					graphs = append(graphs, c)
 				}
 			}
@@ -278,4 +342,30 @@ func TestRemoveNodeReleasesVacatedSlot(t *testing.T) {
 	if hidden := g.adj[:4][3]; hidden != nil {
 		t.Fatalf("vacated slot still holds row %v", hidden)
 	}
+}
+
+// TestThawLeavesFrozenIntact pins that Thaw copies: mutating one thawed
+// graph — inserts into full rows, removals, node removals — must not reach
+// the snapshot, so a later Thaw still equals the graph that was frozen.
+func TestThawLeavesFrozenIntact(t *testing.T) {
+	g := New(12)
+	rng := rand.New(rand.NewSource(1))
+	for range 40 {
+		if u, v := NodeID(rng.Intn(12)), NodeID(rng.Intn(12)); u != v {
+			g.AddEdge(u, v)
+		}
+	}
+	want := g.Edges()
+	f := g.Freeze()
+	a := f.Thaw()
+	for u := NodeID(0); u < 11; u++ {
+		a.AddEdge(u, u+1)
+		a.RemoveEdge(u, (u+5)%12)
+	}
+	a.RemoveNodes([]NodeID{2, 7})
+	b := f.Thaw()
+	if b.NumNodes() != 12 || !slices.Equal(b.Edges(), want) {
+		t.Fatalf("a mutation of one thawed graph reached the snapshot: %v, edges %v, want %v", b, b.Edges(), want)
+	}
+	checkFootprint(t, b, "Thaw")
 }
